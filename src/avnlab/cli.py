@@ -1,7 +1,9 @@
 """Command-line entry point: reproducible verification runs and reports.
 
 Subcommands: verify | lhv | ks | simulate | all.  Exit codes: 0 success,
-1 verification failure, 2 internal invariant breach, 64 usage error.
+1 verification failure, 2 internal invariant breach, 64 usage error
+(including a simulation that loses every shot to detection), 74 cannot
+write the --out file.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INVARIANT = 2
 EXIT_USAGE = 64
+EXIT_IOERR = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,16 +98,23 @@ def run_simulate(shots, seed, visibility, efficiency) -> dict:
     return report
 
 
-def _emit(report, args):
+def _emit(report, args) -> bool:
+    """Write the report to --out or stdout; False, with a one-line
+    message, when the --out file cannot be written."""
     if args.json:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         text = _render_text(report, args.command)
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {args.out}: {exc.strerror or exc}\n")
+        return False
+    return True
 
 
 def _render_text(report, command) -> str:
@@ -193,13 +203,14 @@ def main(argv=None) -> int:
             report["all_ok"] = all(
                 report[k]["all_ok"] for k in ("verify", "lhv", "ks", "simulate")
             )
-    except ValueError as exc:
+    except (ValueError, simulate.DegenerateRecordError) as exc:
         build_parser().error(str(exc))
     except AssertionError as exc:
         sys.stderr.write(f"internal invariant breach: {exc}\n")
         return EXIT_INVARIANT
 
-    _emit(report, args)
+    if not _emit(report, args):
+        return EXIT_IOERR
     return EXIT_OK if report.get("all_ok") else EXIT_FAIL
 
 

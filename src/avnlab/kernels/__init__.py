@@ -1,23 +1,100 @@
-"""Exhaustive-enumeration kernels with backend selection at import.
+"""Exhaustive-enumeration kernels over ±1 assignments, vectorized with numpy.
 
-The compiled Cython extension `_core` is preferred; the pure-Python
-`_pure` module is a drop-in fallback used when the extension is missing
-or when the AVNLAB_PURE_PYTHON environment variable is set.  Both expose
-the same two functions; `benchmarks/bench_kernels.py` compares them.
+Bit convention: an assignment of `n_vars` ±1 variables is an integer x in
+[0, 2^n_vars), and bit i set means variable i takes the value -1.  A
+parity constraint (mask, parity) holds at x when popcount(x & mask) % 2 ==
+parity, i.e. when the product of the values selected by `mask` equals
+(-1)^parity.
+
+Caps: `n_vars` in [0, 30], at most 64 constraints, every mask in
+[0, 2^n_vars), and one parity or sign per mask; anything else raises
+ValueError.
+
+Chunking: assignments are enumerated as uint32 arrays of at most 2^14
+consecutive values.  Each constraint adds its parity bit into one counter
+per assignment, so memory stays a few hundred kilobytes at any `n_vars`
+and no (constraints x assignments) matrix is built.
 """
 
-import os
+import operator
 
-if os.environ.get("AVNLAB_PURE_PYTHON"):
-    from . import _pure as _impl
-else:
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pure as _impl
+import numpy as np
 
-BACKEND = _impl.BACKEND
-satisfaction_histogram = _impl.satisfaction_histogram
-max_weighted_parity = _impl.max_weighted_parity
+BACKEND = "numpy"
+
+_MAX_VARS = 30
+_MAX_CONSTRAINTS = 64
+_CHUNK_BITS = 14
+
+
+def _validated(masks, coefficients, n_vars):
+    """Masks as Python ints and coefficients as a list, or ValueError."""
+    masks = [operator.index(mask) for mask in masks]
+    coefficients = list(coefficients)
+    if len(masks) != len(coefficients):
+        raise ValueError(
+            f"{len(masks)} masks but {len(coefficients)} parities or signs"
+        )
+    if not 0 <= n_vars <= _MAX_VARS:
+        raise ValueError(f"n_vars must be in [0, {_MAX_VARS}], got {n_vars}")
+    if len(masks) > _MAX_CONSTRAINTS:
+        raise ValueError(
+            f"at most {_MAX_CONSTRAINTS} constraints, got {len(masks)}"
+        )
+    for mask in masks:
+        if not 0 <= mask < 1 << n_vars:
+            raise ValueError(f"mask {mask} outside [0, 2^{n_vars})")
+    return masks, coefficients
+
+
+def _chunks(n_vars):
+    """All assignments [0, 2^n_vars) in ascending uint32 chunks."""
+    size = 1 << min(n_vars, _CHUNK_BITS)
+    block = np.arange(size, dtype=np.uint32)
+    for start in range(0, 1 << n_vars, size):
+        yield block + start
+
+
+def _odd(x, mask):
+    """popcount(x & mask) & 1 for every assignment in the chunk x."""
+    return np.bitwise_count(x & mask) & 1
+
+
+def satisfaction_histogram(masks, parities, n_vars):
+    """Histogram of assignments by number of satisfied parity constraints.
+
+    Returns a list h of length len(masks)+1 where h[k] counts assignments
+    satisfying exactly k constraints; sum(h) == 2^n_vars.
+    """
+    masks, parities = _validated(masks, parities, n_vars)
+    violated_counts = np.zeros(len(masks) + 1, dtype=np.int64)
+    for x in _chunks(n_vars):
+        violated = np.zeros(len(x), dtype=np.uint8)
+        for mask, parity in zip(masks, parities):
+            violated += _odd(x, mask) != parity
+        violated_counts += np.bincount(violated, minlength=len(violated_counts))
+    # Exactly v violated is exactly len(masks) - v satisfied.
+    return violated_counts[::-1].tolist()
+
+
+def max_weighted_parity(masks, signs, n_vars):
+    """Maximize sum_k signs[k] * prod of the ±1 values selected by masks[k].
+
+    `signs` are integer weights.  Returns (best_value, witness) where
+    witness is the smallest assignment integer attaining best_value.
+    """
+    masks, signs = _validated(masks, signs, n_vars)
+    best = witness = None
+    for x in _chunks(n_vars):
+        value = np.zeros(len(x), dtype=np.int64)
+        for mask, sign in zip(masks, signs):
+            value += np.where(_odd(x, mask), -sign, sign)
+        # argmax takes the first maximum, and a later chunk must be strictly
+        # better, so the witness is the smallest attaining assignment.
+        i = int(np.argmax(value))
+        if best is None or value[i] > best:
+            best, witness = int(value[i]), int(x[i])
+    return best, witness
+
 
 __all__ = ["BACKEND", "satisfaction_histogram", "max_weighted_parity"]

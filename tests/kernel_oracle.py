@@ -1,13 +1,12 @@
-"""Pure-Python enumeration kernels (fallback backend).
+"""Brute-force oracle for the enumeration kernels in `avnlab.kernels`.
 
-Same contract as the compiled `_core` extension.  Assignments are integers
-in [0, 2^n_vars): bit i set means variable i takes the value -1.  A parity
-constraint (mask, parity) is satisfied when popcount(x & mask) % 2 ==
-parity, i.e. when the product of the ±1 values selected by `mask` equals
-(-1)^parity.
+Plain Python loops over every assignment, sharing no code with the numpy
+kernels, so the two can certify each other.  Same contract: assignments
+are integers in [0, 2^n_vars), bit i set means variable i takes the value
+-1, and a parity constraint (mask, parity) is satisfied when
+popcount(x & mask) % 2 == parity, i.e. when the product of the ±1 values
+selected by `mask` equals (-1)^parity.  Inputs are not validated.
 """
-
-BACKEND = "python"
 
 
 def satisfaction_histogram(masks, parities, n_vars):

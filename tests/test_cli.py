@@ -107,3 +107,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--visibility", "2.0"])
         assert exc.value.code == 64
+
+    def test_every_shot_lost_exits_64(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--efficiency", "1e-6", "--shots", "3"])
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert "error: term 1: all 3 shots lost to detection\n" in err
+        assert "Traceback" not in err
+
+
+class TestOutputErrors:
+    def test_unwritable_out_exits_74(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code = cli.main(["verify", "--json", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_IOERR == 74
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write {path}: No such file or directory\n"
+        )

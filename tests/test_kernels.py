@@ -1,23 +1,14 @@
-"""Backend equivalence: the compiled kernels match the pure-Python ones."""
-
-import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""The numpy enumeration kernels against the brute-force oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-import avnlab
-from avnlab.kernels import _pure
+import kernel_oracle as oracle
+from avnlab import kernels
 
-try:
-    from avnlab.kernels import _core
-except ImportError:
-    _core = None
-
-needs_core = pytest.mark.skipif(_core is None, reason="compiled kernels unavailable")
+KERNELS = [kernels.satisfaction_histogram, kernels.max_weighted_parity]
 
 
 def random_system(rng, n_vars, n_constraints):
@@ -27,20 +18,33 @@ def random_system(rng, n_vars, n_constraints):
     return masks, parities, signs
 
 
+@st.composite
+def systems(draw, max_vars=16, max_constraints=6):
+    """(masks, parities, signs, n_vars) with masks anywhere in [0, 2^n)."""
+    n_vars = draw(st.integers(0, max_vars))
+    k = draw(st.integers(0, max_constraints))
+    masks = draw(st.lists(st.integers(0, (1 << n_vars) - 1), min_size=k, max_size=k))
+    parities = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    signs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    return masks, parities, signs, n_vars
+
+
 class TestPureKernels:
+    """Small cases whose answers are known without the oracle."""
+
     def test_histogram_counts_all_assignments(self):
-        hist = _pure.satisfaction_histogram([0b11, 0b01], [1, 0], 4)
+        hist = kernels.satisfaction_histogram([0b11, 0b01], [1, 0], 4)
         assert sum(hist) == 16
 
     def test_histogram_single_parity_constraint(self):
         # popcount(x & 0b1) odd for half the assignments
-        assert _pure.satisfaction_histogram([0b1], [1], 10) == [512, 512]
+        assert kernels.satisfaction_histogram([0b1], [1], 10) == [512, 512]
 
     def test_max_weighted_parity_brute_force(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             masks, _, signs = random_system(rng, 6, 4)
-            best, witness = _pure.max_weighted_parity(masks, signs, 6)
+            best, witness = kernels.max_weighted_parity(masks, signs, 6)
             values = []
             for x in range(64):
                 v = sum(
@@ -52,64 +56,85 @@ class TestPureKernels:
             assert witness == values.index(best)
 
 
-@needs_core
 class TestBackendAgreement:
     def test_histograms_match(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             n_vars = int(rng.integers(4, 14))
             masks, parities, _ = random_system(rng, n_vars, int(rng.integers(1, 12)))
-            assert _core.satisfaction_histogram(
+            assert kernels.satisfaction_histogram(
                 masks, parities, n_vars
-            ) == _pure.satisfaction_histogram(masks, parities, n_vars)
+            ) == oracle.satisfaction_histogram(masks, parities, n_vars)
 
     def test_max_weighted_parity_matches(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             n_vars = int(rng.integers(4, 14))
             masks, _, signs = random_system(rng, n_vars, int(rng.integers(1, 12)))
-            assert _core.max_weighted_parity(
+            assert kernels.max_weighted_parity(
                 masks, signs, n_vars
-            ) == _pure.max_weighted_parity(masks, signs, n_vars)
+            ) == oracle.max_weighted_parity(masks, signs, n_vars)
 
-    def test_core_rejects_oversized_problems(self):
-        with pytest.raises(ValueError):
-            _core.satisfaction_histogram([1] * 100, [0] * 100, 4)
-        with pytest.raises(ValueError):
-            _core.max_weighted_parity([1], [1], 31)
+    @settings(max_examples=60, deadline=None)
+    @given(systems())
+    @example(([], [], [], 0))
+    @example(([], [], [], 5))
+    @example(([0], [1], [-1], 0))
+    @example(([1 << 16, (1 << 16) | 1, 0b101], [1, 0, 1], [-1, 1, -1], 17))
+    def test_property_matches_oracle(self, system):
+        masks, parities, signs, n_vars = system
+        hist = kernels.satisfaction_histogram(masks, parities, n_vars)
+        assert hist == oracle.satisfaction_histogram(masks, parities, n_vars)
+        assert all(type(h) is int for h in hist)
+        result = kernels.max_weighted_parity(masks, signs, n_vars)
+        assert result == oracle.max_weighted_parity(masks, signs, n_vars)
+        assert all(type(v) is int for v in result)
+
+    @pytest.mark.parametrize(
+        "masks, signs, expected",
+        [
+            # The maximum is attained in every chunk; the first one wins.
+            ([(1 << 16) | 1], [-1], (1, 1)),
+            # First attained only past the first chunks, at bit 16.
+            ([1 << 16], [-1], (1, 1 << 16)),
+            # A constant functional ties everywhere; the witness is 0.
+            ([0, 0], [1, -1], (0, 0)),
+        ],
+    )
+    def test_ties_give_the_smallest_witness(self, masks, signs, expected):
+        assert kernels.max_weighted_parity(masks, signs, 17) == expected
+
+
+class TestValidation:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_lengths_must_match(self, kernel):
+        with pytest.raises(ValueError, match="2 masks but 1"):
+            kernel([1, 3], [1], 2)
+        with pytest.raises(ValueError, match="1 masks but 2"):
+            kernel([1], [1, 1], 2)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("n_vars", [-1, 31])
+    def test_n_vars_outside_cap(self, kernel, n_vars):
+        with pytest.raises(ValueError, match="n_vars"):
+            kernel([], [], n_vars)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_rejects_oversized_problems(self, kernel):
+        with pytest.raises(ValueError, match="at most 64"):
+            kernel([1] * 65, [1] * 65, 4)
+        kernel([1] * 64, [1] * 64, 4)  # 64 is allowed
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("mask", [8, 4, -1])
+    def test_mask_outside_range(self, kernel, mask):
+        with pytest.raises(ValueError, match="outside"):
+            kernel([1, mask], [0, 1], 2)
+
+    def test_largest_mask_is_accepted(self):
+        assert kernels.satisfaction_histogram([0b11], [0], 2) == [2, 2]
 
 
 class TestBackendSelection:
-    def test_env_var_forces_pure_backend(self):
-        # Without the compiled _core the default backend is "python" too, so
-        # this only tells the flag from the fallback where _core is built.
-        # The child inherits the environment, with the directory holding the
-        # package under test put first on PYTHONPATH, so that it imports the
-        # same avnlab as this suite from a source checkout or an install.
-        package_root = str(Path(avnlab.__file__).resolve().parents[1])
-        pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
-        env = dict(
-            os.environ,
-            AVNLAB_PURE_PYTHON="1",
-            PYTHONPATH=os.pathsep.join(filter(None, pythonpath)),
-        )
-        code = (
-            "import avnlab; from avnlab import kernels; "
-            "print(kernels.BACKEND); print(avnlab.__file__)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=False,
-        )
-        assert out.returncode == 0, out.stderr
-        backend, child_file = out.stdout.splitlines()
-        assert Path(child_file).resolve() == Path(avnlab.__file__).resolve()
-        assert backend == "python"
-
     def test_default_backend_is_named(self):
-        from avnlab import kernels
-
-        assert kernels.BACKEND in ("cython", "python")
+        assert kernels.BACKEND == "numpy"
