@@ -68,19 +68,24 @@ def _term(sign, alice, bob, n=4):
     )
 
 
+#: The nine terms, in the order of the nine eigenvalue identities.
+NINE_TERMS = (
+    _term(-1, ["z1"], ["z3"]),
+    _term(-1, ["z2"], ["z4"]),
+    _term(-1, ["x1"], ["x3"]),
+    _term(-1, ["x2"], ["x4"]),
+    _term(+1, ["z1z2"], ["z3", "z4"]),
+    _term(+1, ["x1x2"], ["x3", "x4"]),
+    _term(+1, ["z1", "x2"], ["z3x4"]),
+    _term(+1, ["x1", "z2"], ["x3z4"]),
+    _term(-1, ["z1z2", "x1x2"], ["z3x4", "x3z4"]),
+)
+
+
 def nine_terms() -> tuple:
-    """The nine terms, in the order of the nine eigenvalue identities."""
-    return (
-        _term(-1, ["z1"], ["z3"]),
-        _term(-1, ["z2"], ["z4"]),
-        _term(-1, ["x1"], ["x3"]),
-        _term(-1, ["x2"], ["x4"]),
-        _term(+1, ["z1z2"], ["z3", "z4"]),
-        _term(+1, ["x1x2"], ["x3", "x4"]),
-        _term(+1, ["z1", "x2"], ["z3x4"]),
-        _term(+1, ["x1", "z2"], ["x3z4"]),
-        _term(-1, ["z1z2", "x1x2"], ["z3x4", "x3z4"]),
-    )
+    """The nine terms, in the order of the nine eigenvalue identities;
+    built once at import, since terms and Pauli strings are immutable."""
+    return NINE_TERMS
 
 
 @dataclass(frozen=True)

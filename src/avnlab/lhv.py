@@ -28,10 +28,6 @@ _ID_INDEX = {name: i for i, name in enumerate(ID_ORDER)}
 N_IDS = len(ID_ORDER)
 
 
-def owner(observable_id: str) -> str:
-    return "alice" if observable_id in ALICE_IDS else "bob"
-
-
 @dataclass(frozen=True)
 class Constraint:
     """Required product of a set of local observable values."""

@@ -1,11 +1,15 @@
 """Monte Carlo simulation of the nine experiments under noise.
 
-Each run draws joint outcomes for one term's local factors from the exact
-Born distribution on the double-singlet state, mixed with a uniform
-(depolarized) outcome table with weight 1 - visibility, then applies
-independent per-factor detection losses with coincidence post-selection.
-Per-term RNG substreams make reports reproducible regardless of the order
-in which terms are executed.
+Each run samples one term's sufficient statistic rather than every shot.
+The joint outcomes of the term's local factors follow the exact Born
+distribution on the double-singlet state, mixed with a uniform
+(depolarized) outcome table with weight 1 - visibility; each factor is
+detected independently, with coincidence post-selection.  Detection does
+not depend on the outcome, so the number of retained shots and the number
+of those whose outcome product is +1 are two binomial draws, with the
+same distribution as a shot-by-shot simulation, at a cost independent of
+the shot count.  Per-term RNG substreams make reports reproducible
+regardless of the order in which terms are executed.
 """
 
 from __future__ import annotations
@@ -23,6 +27,13 @@ from .states import born_probabilities, build_psi
 
 LOCAL_BOUND = 7
 QUANTUM_VALUE = 9
+
+#: Version of the draws a seed maps to: 1 sampled every shot; 2 draws two
+#: binomials per term from the same substreams.
+RNG_CONTRACT = 2
+
+#: numpy's binomial sampler takes its count as a C int64.
+MAX_SHOTS = 2**63 - 1
 
 _ESTIMATOR_CODES = {"direct": 0, "yproduct": 1, "bellpairs": 2}
 
@@ -97,30 +108,28 @@ def run_experiment(
         raise ValueError("term_index must be 1..9")
     if shots <= 0:
         raise ValueError("shots must be positive")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most {MAX_SHOTS}")
 
     factors, multiplier = _measurement_plan(term_index, estimator)
     table = born_probabilities(factors, build_psi())
-    outcomes = np.array(list(table.keys()), dtype=float)
-    probs = np.array(list(table.values()))
-    probs = noise.visibility * probs + (1.0 - noise.visibility) / len(probs)
-    probs /= probs.sum()
+    uniform = (1.0 - noise.visibility) / len(table)
+    mass = {+1: 0.0, -1: 0.0}
+    for outcome, p in table.items():
+        mass[multiplier * math.prod(outcome)] += noise.visibility * p + uniform
+    # A ratio of non-negative masses lies in [0, 1], and is exactly 0 or 1
+    # when one side has none, so an eigenstate at V = 1 estimates exactly ±1.
+    p_plus = mass[+1] / (mass[+1] + mass[-1])
 
     rng = term_rng(seed, term_index, estimator)
-    drawn = rng.choice(len(probs), size=shots, p=probs)
-    products = multiplier * np.prod(outcomes[drawn], axis=1)
-
-    if noise.detector_efficiency < 1.0:
-        detected = rng.random((shots, len(factors))) < noise.detector_efficiency
-        retained = detected.all(axis=1)
-    else:
-        retained = np.ones(shots, dtype=bool)
-    n_retained = int(retained.sum())
+    n_retained = int(rng.binomial(shots, noise.detector_efficiency ** len(factors)))
     if n_retained == 0:
         raise DegenerateRecordError(
             f"term {term_index}: all {shots} shots lost to detection"
         )
+    n_plus = int(rng.binomial(n_retained, p_plus))
 
-    estimate = float(products[retained].mean())
+    estimate = (2 * n_plus - n_retained) / n_retained
     standard_error = math.sqrt(max(0.0, 1.0 - estimate**2) / n_retained)
     return CorrelationRecord(
         term_index=term_index,
@@ -158,6 +167,7 @@ def estimate_F(
             "visibility": noise.visibility,
             "efficiency": noise.detector_efficiency,
             "sigma_rule": sigma_rule,
+            "rng_contract": RNG_CONTRACT,
         },
         "records": [record_as_dict(r) for r in records],
         "F_estimate": f_estimate,

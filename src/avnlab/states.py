@@ -108,18 +108,6 @@ def bell_omega(sign: int) -> StateVector:
     return StateVector(2, amps * _SQRT_HALF)
 
 
-BELL_STATES = {
-    "phi+": lambda: bell_phi(+1),
-    "phi-": lambda: bell_phi(-1),
-    "psi+": lambda: bell_psi(+1),
-    "psi-": lambda: bell_psi(-1),
-    "chi+": lambda: bell_chi(+1),
-    "chi-": lambda: bell_chi(-1),
-    "omega+": lambda: bell_omega(+1),
-    "omega-": lambda: bell_omega(-1),
-}
-
-
 # -- operator action -------------------------------------------------------
 
 def _apply_raw(op: PauliString, amps: np.ndarray) -> np.ndarray:

@@ -103,6 +103,14 @@ class TestUsageErrors:
             cli.main(["simulate", "--shots", "0"])
         assert exc.value.code == 64
 
+    def test_oversized_shots_exits_64(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--shots", "100000000000000000000000"])
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert f"error: shots must be at most {2**63 - 1}\n" in err
+        assert "Traceback" not in err
+
     def test_out_of_range_visibility_exits_64(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--visibility", "2.0"])

@@ -2,12 +2,18 @@
 
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avnlab.functional import EXPECTED_SIGNS
 from avnlab.simulate import (
+    MAX_SHOTS,
+    RNG_CONTRACT,
     CorrelationRecord,
     DegenerateRecordError,
     NoiseModel,
@@ -17,6 +23,11 @@ from avnlab.simulate import (
 )
 
 IDEAL = NoiseModel(1.0, 1.0)
+TERM_ESTIMATORS = [
+    *((k, "direct") for k in range(1, 10)),
+    (9, "yproduct"),
+    (9, "bellpairs"),
+]
 
 
 def within_sigmas(a, b, se_a, se_b=0.0, n_sigma=4.0):
@@ -92,6 +103,66 @@ class TestRunExperiment:
         b = run_experiment(3, 5_000, NoiseModel(0.8, 0.9), seed=42)
         assert a == b
 
+    def test_shot_count_limit(self):
+        record = run_experiment(1, MAX_SHOTS, NoiseModel(0.9, 0.9), seed=0)
+        assert record.shots_requested == MAX_SHOTS == 2**63 - 1
+        with pytest.raises(ValueError, match="shots must be at most"):
+            run_experiment(1, MAX_SHOTS + 1)
+
+    def test_cost_does_not_grow_with_shots(self):
+        noise = NoiseModel(0.85, 0.9)
+        run_experiment(9, 10, noise, seed=0)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            record = run_experiment(9, 10**12, noise, seed=1)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.shots_requested == 10**12
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    def test_sampling_distribution_of_term_nine(self):
+        """Mean, spread and retained count over 400 seeds match the
+        binomial model: E = -V, sd = sqrt((1 - V^2)/n), n = shots eta^4."""
+        v, eta, shots, seeds = 0.85, 0.9, 2_000, 400
+        records = [
+            run_experiment(9, shots, NoiseModel(v, eta), seed=s) for s in range(seeds)
+        ]
+        estimates = np.array([r.estimate for r in records])
+        retained = np.array([r.shots_retained for r in records])
+        keep = eta**4
+        sd_theory = math.sqrt((1 - v**2) / (shots * keep))
+        assert within_sigmas(estimates.mean(), -v, sd_theory / math.sqrt(seeds))
+        assert estimates.std(ddof=1) == pytest.approx(sd_theory, rel=0.15)
+        retained_se = math.sqrt(shots * keep * (1 - keep) / seeds)
+        assert within_sigmas(retained.mean(), shots * keep, retained_se)
+
+    @pytest.mark.parametrize("term_index, estimator", TERM_ESTIMATORS)
+    def test_noiseless_estimate_is_exact(self, term_index, estimator):
+        record = run_experiment(term_index, 12_345, IDEAL, seed=11, estimator=estimator)
+        assert record.estimate == EXPECTED_SIGNS[term_index - 1]
+        assert record.shots_retained == 12_345
+        assert record.standard_error == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        visibility=st.floats(0.0, 1.0),
+        efficiency=st.floats(0.5, 1.0),
+        order=st.permutations(TERM_ESTIMATORS),
+    )
+    def test_call_order_does_not_matter(self, seed, visibility, efficiency, order):
+        noise = NoiseModel(visibility, efficiency)
+        canonical = {
+            (k, e): run_experiment(k, 1_000, noise, seed, estimator=e)
+            for k, e in sorted(order)
+        }
+        for k, e in order:
+            assert run_experiment(k, 1_000, noise, seed, estimator=e) == canonical[k, e]
+
 
 class TestTermNineEstimators:
     """Three independently sampled routes to the ninth correlation."""
@@ -136,6 +207,10 @@ class TestEstimateF:
             report["F_estimate"], 7.0, report["F_standard_error"], n_sigma=3
         )
         assert not report["violates_local_bound"]
+
+    def test_config_names_the_rng_contract(self):
+        report = estimate_F(1_000, IDEAL, seed=0)
+        assert report["config"]["rng_contract"] == RNG_CONTRACT == 2
 
     def test_reports_are_bit_for_bit_reproducible(self):
         a = estimate_F(10_000, NoiseModel(0.9, 0.8), seed=7)
