@@ -9,7 +9,7 @@ flattening a term multiplies everything into a single Pauli string.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import states
 from .pauli import PauliString, parse
@@ -51,13 +51,20 @@ class ExperimentTerm:
     @property
     def observable(self) -> PauliString:
         """Product of all factors (the term's sign is not included)."""
-        return reduce(PauliString.multiply, self.factors)
+        return _flatten(self.factors)
 
     @property
     def label(self) -> str:
         alice = "".join(f.label for f in self.alice_factors)
         bob = "".join(f.label for f in self.bob_factors)
         return f"{alice}·{bob}"
+
+
+@lru_cache(maxsize=256)
+def _flatten(factors: tuple) -> PauliString:
+    """Product of a factor tuple, computed once per distinct tuple, so
+    terms that differ only in sign share one observable."""
+    return reduce(PauliString.multiply, factors)
 
 
 def _term(sign, alice, bob, n=4):

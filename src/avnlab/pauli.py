@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -155,9 +155,10 @@ class PauliString:
         )
         return _PHASE_PREFIX[self.phase_power] + (body or "I")
 
-    @property
+    @cached_property
     def label(self) -> str:
-        """Text form without the leading '+' of a phase-free string."""
+        """Text form without the leading '+' of a phase-free string;
+        rendered once per instance."""
         text = str(self)
         return text[1:] if text.startswith("+") else text
 

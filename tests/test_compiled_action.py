@@ -1,0 +1,206 @@
+"""The cached Pauli action and the cached observables and labels.
+
+Each dense application looks up an operator's (target, factor) arrays in
+a cache instead of rebuilding them.  These tests pin the cached path to
+an uncached copy of the formula, byte for byte, and to the dense-matrix
+oracle, for every Pauli string on up to six qubits.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from avnlab import functional, ks, states
+from avnlab.functional import ExperimentTerm, nine_terms
+from avnlab.pauli import PauliString
+from avnlab.simulate import _measurement_plan
+
+from conftest import kron_letters
+
+MAX_QUBITS = 6
+CACHE_SIZE = 256
+
+PLANS = [(k, "direct") for k in range(1, 10)] + [(9, "yproduct"), (9, "bellpairs")]
+PAIRS = ("phi+", "phi-", "psi+", "psi-")
+
+
+def uncached_apply(op, amps):
+    """The dense action with every derived array rebuilt per call."""
+    n = op.n_qubits
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.uint32)
+    phase = (1j) ** ((op.phase_power + op._n_y()) % 4)
+    z_par = np.bitwise_count(idx & np.uint32(op.z_mask)) & 1
+    out = np.empty(dim, dtype=complex)
+    out[idx ^ np.uint32(op.x_mask)] = phase * np.where(z_par, -1.0, 1.0) * amps
+    return out
+
+
+def uncached_born_hex(factors, amps):
+    """Born table from the uncached action, each probability as float.hex."""
+    table = {}
+    for outcome in itertools.product((+1, -1), repeat=len(factors)):
+        vec = amps
+        for eps, f in zip(outcome, factors):
+            vec = 0.5 * (vec + eps * uncached_apply(f, vec))
+        table[outcome] = float(np.sum(np.abs(vec) ** 2)).hex()
+    return table
+
+
+@st.composite
+def paulis(draw, n_qubits=None):
+    n = draw(st.integers(1, MAX_QUBITS)) if n_qubits is None else n_qubits
+    full = (1 << n) - 1
+    return PauliString(
+        n, draw(st.integers(0, full)), draw(st.integers(0, full)), draw(st.integers(0, 3))
+    )
+
+
+@st.composite
+def pauli_pairs(draw):
+    n = draw(st.integers(1, MAX_QUBITS))
+    return draw(paulis(n)), draw(paulis(n))
+
+
+_parts = st.one_of(
+    st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3, allow_nan=False)
+)
+
+
+def amplitudes(n):
+    return st.lists(
+        st.builds(complex, _parts, _parts), min_size=1 << n, max_size=1 << n
+    ).map(lambda values: np.array(values, dtype=complex))
+
+
+@st.composite
+def op_and_amplitudes(draw):
+    op = draw(paulis())
+    return op, draw(amplitudes(op.n_qubits))
+
+
+def oracle_matrix(op):
+    """Dense matrix from conftest's single-qubit matrices, independent of
+    the tables in avnlab.pauli."""
+    shifts = range(op.n_qubits - 1, -1, -1)
+    letters = "".join(
+        "ixzy"[(op.x_mask >> s & 1) | (op.z_mask >> s & 1) << 1] for s in shifts
+    )
+    return (1j) ** op.phase_power * kron_letters(letters)
+
+
+class TestCompiledAction:
+    @settings(max_examples=150, deadline=None)
+    @given(op_and_amplitudes())
+    def test_matches_uncached_formula_bytewise(self, case):
+        op, amps = case
+        assert states._apply_raw(op, amps).tobytes() == uncached_apply(op, amps).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(op_and_amplitudes())
+    def test_apply_matches_dense_matrix(self, case):
+        op, amps = case
+        norm = np.linalg.norm(amps)
+        if norm < 1e-3:
+            amps = np.zeros_like(amps)
+            amps[0] = 1.0
+        else:
+            amps = amps / norm
+        state = states.StateVector(op.n_qubits, amps)
+        assert np.allclose(
+            states.apply(op, state).amplitudes, op.to_matrix() @ amps, rtol=0, atol=1e-12
+        )
+
+    def test_cached_arrays_are_read_only(self):
+        target, factor = states._action(3, 0b101, 0b011, 1)
+        assert target.dtype == np.uint32
+        with pytest.raises(ValueError):
+            target[0] = 1
+        with pytest.raises(ValueError):
+            factor[0] = 1.0
+
+    def test_action_cache_is_bounded(self):
+        amps = np.ones(1 << MAX_QUBITS, dtype=complex)
+        for x in range(CACHE_SIZE + 40):
+            states._apply_raw(PauliString(MAX_QUBITS, x % 64, x // 64, 0), amps)
+        info = states._action.cache_info()
+        assert info.maxsize == CACHE_SIZE
+        assert info.currsize <= CACHE_SIZE
+
+
+class TestProductsAgainstDenseOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(pauli_pairs())
+    def test_product_matrix_is_matrix_product(self, pair):
+        a, b = pair
+        assert np.array_equal((a * b).to_matrix(), a.to_matrix() @ b.to_matrix())
+
+    @settings(max_examples=200, deadline=None)
+    @given(paulis())
+    def test_to_matrix_matches_independent_oracle(self, op):
+        assert np.array_equal(op.to_matrix(), oracle_matrix(op))
+
+
+def _local_hermitian(qubits):
+    """Every Hermitian Pauli string on four qubits supported on `qubits`."""
+    masks = [0]
+    for q in qubits:
+        bit = 1 << (4 - q)
+        masks = [m | extra for m in masks for extra in (0, bit)]
+    return [
+        PauliString(4, x, z, k) for x in masks for z in masks for k in (0, 2)
+    ]
+
+
+class TestCachedObservables:
+    def test_sign_copies_share_one_observable(self):
+        for term in nine_terms():
+            flipped = ExperimentTerm(-term.sign, term.alice_factors, term.bob_factors)
+            assert flipped.observable is term.observable
+
+    def test_observable_cache_is_bounded(self):
+        alice = _local_hermitian(functional.ALICE_QUBITS)
+        bob = _local_hermitian(functional.BOB_QUBITS)
+        seen = set()
+        for a, b in itertools.islice(itertools.product(alice, bob), CACHE_SIZE + 40):
+            term = ExperimentTerm(+1, (a,), (b,))
+            assert term.observable == a * b
+            seen.add(term.factors)
+        assert len(seen) > CACHE_SIZE
+        info = functional._flatten.cache_info()
+        assert info.maxsize == CACHE_SIZE
+        assert info.currsize <= CACHE_SIZE
+
+    @settings(max_examples=100, deadline=None)
+    @given(paulis())
+    def test_label_leaves_eq_hash_and_repr(self, op):
+        twin = PauliString(op.n_qubits, op.x_mask, op.z_mask, op.phase_power)
+        before = (hash(op), repr(op))
+        assert op.label == twin.label
+        assert op == twin and twin == op
+        assert (hash(op), repr(op)) == before == (hash(twin), repr(twin))
+        assert op.label is op.label
+
+    def test_observable_leaves_term_eq_and_hash(self):
+        for term in nine_terms():
+            twin = ExperimentTerm(term.sign, term.alice_factors, term.bob_factors)
+            before = hash(twin)
+            assert twin.observable == term.observable
+            assert twin.label == term.label
+            assert twin == term and hash(twin) == before == hash(term)
+
+
+class TestBornTablesBitIdentical:
+    @pytest.mark.parametrize("term_index, estimator", PLANS)
+    def test_all_plans_on_psi_and_two_pair_states(self, term_index, estimator):
+        factors, _ = _measurement_plan(term_index, estimator)
+        family = [states.build_psi()] + [
+            ks.two_pair_state(a, b) for a in PAIRS for b in PAIRS
+        ]
+        for state in family:
+            table = states.born_probabilities(factors, state)
+            got = {outcome: p.hex() for outcome, p in table.items()}
+            assert got == uncached_born_hex(factors, state.amplitudes)

@@ -25,6 +25,15 @@ from avnlab.states import (
 from conftest import dense_observable
 
 
+def unchecked_state(n_qubits, amps):
+    """A StateVector that skips the norm check, to reach the checks
+    downstream of it."""
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "n_qubits", n_qubits)
+    object.__setattr__(state, "amplitudes", np.asarray(amps, dtype=complex))
+    return state
+
+
 class TestBuildPsi:
     def test_amplitude_table(self, psi):
         expected = np.zeros(16, dtype=complex)
@@ -60,6 +69,21 @@ class TestStateVector:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             StateVector(2, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            [np.nan, 0.0],
+            [1.0, np.nan],
+            [complex(0.0, np.nan), 0.0],
+            [np.inf, 0.0],
+            [-np.inf, 0.0],
+            [complex(0.0, np.inf), 0.0],
+        ],
+    )
+    def test_rejects_nan_and_inf(self, amps):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(1, np.array(amps))
 
     def test_amplitudes_read_only(self, psi):
         with pytest.raises(ValueError):
@@ -122,6 +146,13 @@ class TestExpectation:
         with pytest.raises(ValueError):
             expectation(parse("i·y1", 4), psi)
 
+    def test_nan_expectation_raises(self):
+        # The image op|state> is a checked StateVector, so its norm check
+        # fires before the imaginary-part check is reached.
+        state = unchecked_state(1, [np.nan, 0.0])
+        with pytest.raises(ValueError, match="not normalized"):
+            expectation(parse("z1", 1), state)
+
 
 class TestBarredBasis:
     def test_x_eigenstates(self):
@@ -145,6 +176,11 @@ class TestEqualUpToPhase:
 
 
 class TestBornProbabilities:
+    def test_nan_table_raises(self):
+        state = unchecked_state(1, [np.nan, 0.0])
+        with pytest.raises(AssertionError, match="sums to nan"):
+            born_probabilities([parse("z1", 1)], state)
+
     def test_z1_z3_on_psi(self, psi):
         table = born_probabilities([parse("z1", 4), parse("z3", 4)], psi)
         assert table[(+1, +1)] == pytest.approx(0, abs=1e-12)
