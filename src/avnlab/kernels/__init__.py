@@ -7,7 +7,9 @@ parity, i.e. when the product of the values selected by `mask` equals
 (-1)^parity.
 
 Caps: `n_vars` in [0, 30], at most 64 constraints, every mask in
-[0, 2^n_vars), and one parity or sign per mask; anything else raises
+[0, 2^n_vars), and one parity or sign per mask.  Parities are 0 or 1.
+Signs are integer weights whose absolute values sum to at most 2^63 - 1,
+so that every weighted sum fits in int64.  Anything else raises
 ValueError.
 
 Chunking: assignments are enumerated as uint32 arrays of at most 2^14
@@ -24,6 +26,7 @@ BACKEND = "numpy"
 
 _MAX_VARS = 30
 _MAX_CONSTRAINTS = 64
+_MAX_WEIGHT = 2**63 - 1
 _CHUNK_BITS = 14
 
 
@@ -67,6 +70,9 @@ def satisfaction_histogram(masks, parities, n_vars):
     satisfying exactly k constraints; sum(h) == 2^n_vars.
     """
     masks, parities = _validated(masks, parities, n_vars)
+    for parity in parities:
+        if parity not in (0, 1):
+            raise ValueError(f"parity {parity} is not 0 or 1")
     violated_counts = np.zeros(len(masks) + 1, dtype=np.int64)
     for x in _chunks(n_vars):
         violated = np.zeros(len(x), dtype=np.uint8)
@@ -84,6 +90,12 @@ def max_weighted_parity(masks, signs, n_vars):
     witness is the smallest assignment integer attaining best_value.
     """
     masks, signs = _validated(masks, signs, n_vars)
+    try:
+        signs = [operator.index(sign) for sign in signs]
+    except TypeError:
+        raise ValueError(f"signs must be integers, got {signs}") from None
+    if sum(abs(sign) for sign in signs) > _MAX_WEIGHT:
+        raise ValueError("signs' absolute values sum past 2^63 - 1")
     best = witness = None
     for x in _chunks(n_vars):
         value = np.zeros(len(x), dtype=np.int64)

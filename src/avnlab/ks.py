@@ -7,7 +7,8 @@ the last, which multiplies to -I.  Assigning noncontextual ±1 values is
 impossible: each operator sits in exactly one row and one column, so the
 product of all ten line constraints squares every value away, yet the
 targets multiply to -1.  Both the parity argument and the exhaustive
-search over 2^17 assignments are run and must agree.
+search over 2^17 assignments are run, by `lhv.ParitySystem`, and must
+agree.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, lhv, states
+from . import lhv, states
 from .functional import BellFunctional, verify_nine_identities
 from .pauli import PauliString, parse
 
@@ -94,47 +95,31 @@ def verify_table_structure(table: KsTable) -> dict:
     return {"lines": lines, "all_ok": all(line["ok"] for line in lines)}
 
 
+def parity_system(table: KsTable) -> lhv.ParitySystem:
+    """One parity constraint per line, over the populated cells numbered in
+    (row, column) scan order."""
+    index = {(r, c): i for i, (r, c, _) in enumerate(table.cells())}
+    masks, parities = [], []
+    for kind, line, _, target in table.lines():
+        axis = 0 if kind == "row" else 1
+        masks.append(sum(1 << i for cell, i in index.items() if cell[axis] == line))
+        parities.append(0 if target == +1 else 1)
+    return lhv.ParitySystem(tuple(masks), tuple(parities), len(index))
+
+
 def prove_ks_contradiction(table: KsTable) -> dict:
     """Noncontextuality impossibility certificate for the table."""
     structure = verify_table_structure(table)
     if not structure["all_ok"]:
         raise ValueError("table structure check failed")
 
-    cells = table.cells()
-    index = {(r, c): i for i, (r, c, _) in enumerate(cells)}
-
-    masks, parities, parity_product = [], [], 1
-    for kind, line_index, _, target in table.lines():
-        mask = 0
-        for (r, c), i in index.items():
-            if (kind == "row" and r == line_index) or (
-                kind == "column" and c == line_index
-            ):
-                mask |= 1 << i
-        masks.append(mask)
-        parities.append(0 if target == +1 else 1)
-        parity_product *= target
-
-    hist = kernels.satisfaction_histogram(masks, parities, len(cells))
-    satisfying = hist[len(masks)]
-    near_misses = hist[len(masks) - 1]
-
-    each_twice = all(
-        sum(mask >> i & 1 for mask in masks) == 2 for i in range(len(cells))
-    )
-    parity_says_impossible = each_twice and parity_product == -1
-    if parity_says_impossible and satisfying != 0:
-        raise AssertionError("parity and exhaustive methods disagree")
-
-    return {
-        "n_operators": len(cells),
-        "parity_product": parity_product,
-        "each_operator_in_two_lines": each_twice,
-        "parity_says_impossible": parity_says_impossible,
-        "exhaustive_count_satisfying_all": satisfying,
-        "count_satisfying_nine_of_ten": near_misses,
-        "assignments_checked": 1 << len(cells),
-    }
+    system = parity_system(table)
+    proof = system.prove()
+    hist = proof.pop("histogram")
+    proof["n_operators"] = system.n_vars
+    proof["each_operator_in_two_lines"] = all(n == 2 for n in proof.pop("occurrences"))
+    proof["count_satisfying_nine_of_ten"] = hist[-2]
+    return proof
 
 
 def render_table(table: KsTable, structure: dict = None) -> str:

@@ -29,45 +29,45 @@ N_IDS = len(ID_ORDER)
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """Required product of a set of local observable values."""
+class ParitySystem:
+    """Parity constraints over `n_vars` ±1 variables, in the kernels' encoding.
 
-    ids: tuple
-    required_product: int
+    Constraint k holds at an assignment when the product of the values
+    selected by masks[k] equals (-1)^parities[k].  Both hidden-variable
+    proofs are instances: the nine EPR product constraints here and the ten
+    table lines in `avnlab.ks`.
+    """
 
-    def __post_init__(self):
-        if self.required_product not in (+1, -1):
-            raise ValueError("required product must be ±1")
-        unknown = set(self.ids) - set(ID_ORDER)
-        if unknown:
-            raise ValueError(f"unknown observable ids {sorted(unknown)}")
+    masks: tuple
+    parities: tuple
+    n_vars: int
 
-    @property
-    def mask(self) -> int:
-        m = 0
-        for name in self.ids:
-            m ^= 1 << _ID_INDEX[name]
-        return m
+    def prove(self) -> dict:
+        """Parity argument plus exhaustive count; the two must agree.
 
-    @property
-    def parity(self) -> int:
-        return 0 if self.required_product == +1 else 1
-
-
-@dataclass(frozen=True)
-class ConstraintSystem:
-    constraints: tuple
-
-    @classmethod
-    def canonical(cls) -> "ConstraintSystem":
-        """The nine constraints inherited from the nine identities."""
-        return constraints_for(BellFunctional.canonical())
-
-    def masks_and_parities(self):
-        return (
-            [c.mask for c in self.constraints],
-            [c.parity for c in self.constraints],
+        If every variable occurs an even number of times across the
+        constraints, multiplying all of them squares every value away, so
+        targets that multiply to -1 cannot all be met.  The histogram of
+        all 2^n_vars assignments must then have an empty top bin.
+        """
+        hist = kernels.satisfaction_histogram(self.masks, self.parities, self.n_vars)
+        occurrences = [
+            sum(mask >> i & 1 for mask in self.masks) for i in range(self.n_vars)
+        ]
+        parity_product = -1 if sum(self.parities) % 2 else +1
+        parity_says_impossible = parity_product == -1 and all(
+            n % 2 == 0 for n in occurrences
         )
+        if parity_says_impossible and hist[-1] != 0:
+            raise AssertionError("parity and exhaustive methods disagree")
+        return {
+            "parity_product": parity_product,
+            "parity_says_impossible": parity_says_impossible,
+            "exhaustive_count_satisfying_all": hist[-1],
+            "assignments_checked": 1 << self.n_vars,
+            "histogram": hist,
+            "occurrences": occurrences,
+        }
 
 
 def term_ids(term) -> tuple:
@@ -79,11 +79,16 @@ def term_ids(term) -> tuple:
     return ids
 
 
-def constraints_for(functional: BellFunctional) -> ConstraintSystem:
-    """One product constraint per term, with the term's sign as target."""
-    return ConstraintSystem(
-        tuple(Constraint(term_ids(t), t.sign) for t in functional.terms)
-    )
+def constraints_for(functional: BellFunctional) -> ParitySystem:
+    """One parity constraint per term, with the term's sign as target."""
+    masks = []
+    for t in functional.terms:
+        mask = 0
+        for name in term_ids(t):
+            mask ^= 1 << _ID_INDEX[name]
+        masks.append(mask)
+    parities = tuple(0 if t.sign == +1 else 1 for t in functional.terms)
+    return ParitySystem(tuple(masks), parities, N_IDS)
 
 
 def assignment_from_int(x: int) -> dict:
@@ -91,54 +96,32 @@ def assignment_from_int(x: int) -> dict:
     return {name: -1 if x >> i & 1 else +1 for i, name in enumerate(ID_ORDER)}
 
 
-def check_assignment(values: dict, cs: ConstraintSystem) -> int:
+def check_assignment(values: dict, system: ParitySystem) -> int:
     """Number of constraints whose product requirement the assignment meets."""
     missing = set(ID_ORDER) - set(values)
     if missing:
         raise ValueError(f"assignment missing ids {sorted(missing)}")
     count = 0
-    for c in cs.constraints:
+    for mask, parity in zip(system.masks, system.parities):
         product = 1
-        for name in c.ids:
-            product *= values[name]
-        if product == c.required_product:
+        for i, name in enumerate(ID_ORDER):
+            if mask >> i & 1:
+                product *= values[name]
+        if product == (-1) ** parity:
             count += 1
     return count
 
 
-def prove_no_valid_assignment(cs: ConstraintSystem) -> dict:
-    """Impossibility certificate: parity argument plus exhaustive search.
-
-    The parity argument applies when every id occurs an even number of
-    times across the constraints while the product of required products is
-    -1; the exhaustive count over all 2^12 assignments must agree with it
-    either way.
-    """
-    parity_product = 1
-    occurrences = {name: 0 for name in ID_ORDER}
-    for c in cs.constraints:
-        parity_product *= c.required_product
-        for name in c.ids:
-            occurrences[name] += 1
-    all_even = all(count % 2 == 0 for count in occurrences.values())
-    parity_says_impossible = all_even and parity_product == -1
-
-    masks, parities = cs.masks_and_parities()
-    hist = kernels.satisfaction_histogram(masks, parities, N_IDS)
-    satisfying = hist[len(cs.constraints)]
-    max_satisfiable = max(k for k, n in enumerate(hist) if n > 0)
-
-    if parity_says_impossible and satisfying != 0:
-        raise AssertionError("parity and exhaustive methods disagree")
-
-    return {
-        "parity_product": parity_product,
-        "all_ids_even_multiplicity": all_even,
-        "parity_says_impossible": parity_says_impossible,
-        "exhaustive_count_satisfying_all": satisfying,
-        "max_simultaneously_satisfiable": max_satisfiable,
-        "assignments_checked": 1 << N_IDS,
-    }
+def prove_no_valid_assignment(system: ParitySystem) -> dict:
+    """Impossibility certificate: parity argument plus exhaustive search
+    over all 2^12 assignments (see `ParitySystem.prove`)."""
+    proof = system.prove()
+    hist = proof.pop("histogram")
+    proof["all_ids_even_multiplicity"] = all(
+        n % 2 == 0 for n in proof.pop("occurrences")
+    )
+    proof["max_simultaneously_satisfiable"] = max(k for k, n in enumerate(hist) if n)
+    return proof
 
 
 def local_bound(functional: BellFunctional):
@@ -148,8 +131,7 @@ def local_bound(functional: BellFunctional):
     with the smallest integer encoding in the canonical id order that
     attains the bound.
     """
-    cs = constraints_for(functional)
-    masks = [c.mask for c in cs.constraints]
+    masks = constraints_for(functional).masks
     signs = [t.sign for t in functional.terms]
     bound, witness = kernels.max_weighted_parity(masks, signs, N_IDS)
     return bound, assignment_from_int(witness)
@@ -208,15 +190,14 @@ def visibility_threshold(functional: BellFunctional, quantum_value: float) -> Fr
 def certificate() -> dict:
     """JSON-ready impossibility-plus-bound certificate for the canonical case."""
     functional = BellFunctional.canonical()
-    cs = constraints_for(functional)
-    proof = prove_no_valid_assignment(cs)
+    proof = prove_no_valid_assignment(constraints_for(functional))
     bound, witness = local_bound(functional)
     threshold = visibility_threshold(functional, 9)
     return {
         "id_order": list(ID_ORDER),
         "constraints": [
-            {"ids": list(c.ids), "required_product": c.required_product}
-            for c in cs.constraints
+            {"ids": list(term_ids(t)), "required_product": t.sign}
+            for t in functional.terms
         ],
         "expected_signs": list(EXPECTED_SIGNS),
         "parity_product": proof["parity_product"],

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,12 @@ def run_experiment(
     """Estimate one term's correlation from `shots` simulated runs."""
     if not 1 <= term_index <= 9:
         raise ValueError("term_index must be 1..9")
+    if isinstance(shots, bool):
+        raise ValueError("shots must be an integer, not a bool")
+    try:
+        shots = operator.index(shots)
+    except TypeError:
+        raise ValueError(f"shots must be an integer, got {shots!r}") from None
     if shots <= 0:
         raise ValueError("shots must be positive")
     if shots > MAX_SHOTS:

@@ -52,7 +52,9 @@ def test_criterion_2_quantum_value():
 
 def test_criterion_3_epr_impossibility():
     proof, elapsed = timed(
-        lambda: lhv.prove_no_valid_assignment(lhv.ConstraintSystem.canonical())
+        lambda: lhv.prove_no_valid_assignment(
+            lhv.constraints_for(BellFunctional.canonical())
+        )
     )
     assert proof["exhaustive_count_satisfying_all"] == 0
     assert proof["assignments_checked"] == 4096

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as oracle
-from avnlab import kernels
+from avnlab import kernels, lhv
 
 KERNELS = [kernels.satisfaction_histogram, kernels.max_weighted_parity]
 
@@ -133,6 +133,50 @@ class TestValidation:
 
     def test_largest_mask_is_accepted(self):
         assert kernels.satisfaction_histogram([0b11], [0], 2) == [2, 2]
+
+    @pytest.mark.parametrize("parity", [2, -1])
+    def test_parity_outside_zero_one(self, parity):
+        with pytest.raises(ValueError, match="parity"):
+            kernels.satisfaction_histogram([1], [parity], 1)
+
+    @pytest.mark.parametrize("signs", [[2**62, 2**62], [2**70], [-(2**63)]])
+    def test_weights_that_could_overflow_int64(self, signs):
+        with pytest.raises(ValueError, match="2\\^63"):
+            kernels.max_weighted_parity([1] * len(signs), signs, 1)
+
+    @pytest.mark.parametrize("sign", [1.5, 1.0, "1"])
+    def test_signs_must_be_integers(self, sign):
+        with pytest.raises(ValueError, match="integers"):
+            kernels.max_weighted_parity([1], [sign], 1)
+
+    def test_largest_weight_sum_is_accepted(self):
+        # x = 0 attains the full sum 2^63 - 1, which still fits in int64.
+        result = kernels.max_weighted_parity([1, 1], [2**62, 2**62 - 1], 1)
+        assert result == (2**63 - 1, 0)
+
+
+class TestParitySystem:
+    """`lhv.ParitySystem.prove` against the oracle on generated systems."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(systems(max_vars=12))
+    @example(([], [], [], 3))
+    @example(([0], [1], [-1], 0))
+    @example(([0b11, 0b11], [0, 1], [1, 1], 2))
+    @example(([0b011, 0b110, 0b101], [1, 0, 0], [1, 1, 1], 3))
+    def test_prove_matches_oracle(self, system):
+        masks, parities, _, n_vars = system
+        proof = lhv.ParitySystem(tuple(masks), tuple(parities), n_vars).prove()
+        hist = oracle.satisfaction_histogram(masks, parities, n_vars)
+        assert proof["histogram"] == hist
+        assert proof["occurrences"] == [
+            sum(bool(mask & 1 << i) for mask in masks) for i in range(n_vars)
+        ]
+        assert proof["parity_product"] == (-1) ** sum(parities)
+        assert proof["exhaustive_count_satisfying_all"] == hist[-1]
+        assert proof["assignments_checked"] == 1 << n_vars
+        if proof["parity_says_impossible"]:
+            assert hist[-1] == 0
 
 
 class TestBackendSelection:

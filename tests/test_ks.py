@@ -1,9 +1,11 @@
 """The 17-operator noncontextuality proof and the eigenstate-family sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from avnlab import kernels, ks
+from avnlab import ks
 from avnlab.functional import EXPECTED_SIGNS
 from avnlab.pauli import PauliString, parse
 from avnlab.states import eigensign, equal_up_to_phase
@@ -76,22 +78,31 @@ class TestContradiction:
         assert proof["count_satisfying_nine_of_ten"] > 0
 
     def test_flipped_last_column_target_is_satisfiable(self, table):
-        # mutated targets break the structure check, so enumerate directly
-        cells = table.cells()
-        index = {(r, c): i for i, (r, c, _) in enumerate(cells)}
-        masks, parities = [], []
-        for kind, line_index, _, target in table.lines():
-            mask = 0
-            for (r, c), i in index.items():
-                if (kind == "row" and r == line_index) or (
-                    kind == "column" and c == line_index
-                ):
-                    mask |= 1 << i
-            masks.append(mask)
-            parities.append(0 if target == +1 else 1)
-        parities[-1] = 0  # last column now demands product +1
-        hist = kernels.satisfaction_histogram(masks, parities, 17)
+        # mutated targets break the structure check, so prove the system directly
+        system = ks.parity_system(table)
+        flipped = dataclasses.replace(system, parities=system.parities[:-1] + (0,))
+        hist = flipped.prove()["histogram"]
         assert hist[10] > 0
+
+    def test_rows_and_columns_each_partition_the_cells(self, table):
+        system = ks.parity_system(table)
+        assert system.n_vars == 17
+        assert len(system.masks) == 10
+        for masks in (system.masks[:5], system.masks[5:]):
+            covered = 0
+            for mask in masks:
+                assert covered & mask == 0
+                covered |= mask
+            assert covered == (1 << 17) - 1
+
+    def test_line_masks_select_the_line_operators(self, table):
+        cells = [op for _, _, op in table.cells()]
+        system = ks.parity_system(table)
+        for mask, (_, _, ops, target), parity in zip(
+            system.masks, table.lines(), system.parities
+        ):
+            assert [cells[i] for i in range(17) if mask >> i & 1] == ops
+            assert (-1) ** parity == target
 
     def test_structure_failure_raises(self, table):
         grid = list(map(list, table.grid))

@@ -1,5 +1,6 @@
 """Hidden-variable side: constraint impossibility and the local bound."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -46,54 +47,56 @@ def brute_force_bound(functional):
     return best
 
 
+def canonical_system():
+    return lhv.constraints_for(BellFunctional.canonical())
+
+
 class TestConstraintSystem:
     def test_nine_constraints_with_expected_products(self):
-        cs = lhv.ConstraintSystem.canonical()
-        assert [c.required_product for c in cs.constraints] == [
-            -1, -1, -1, -1, +1, +1, +1, +1, -1,
-        ]
+        system = canonical_system()
+        assert system.parities == (1, 1, 1, 1, 0, 0, 0, 0, 1)
+        assert system.n_vars == 12
 
     def test_every_id_appears_exactly_twice(self):
-        cs = lhv.ConstraintSystem.canonical()
         occurrences = {name: 0 for name in lhv.ID_ORDER}
-        for c in cs.constraints:
-            for name in c.ids:
+        for term in nine_terms():
+            for name in lhv.term_ids(term):
                 occurrences[name] += 1
         assert occurrences == {name: 2 for name in lhv.ID_ORDER}
+        assert canonical_system().prove()["occurrences"] == [2] * 12
 
     def test_constraint_ids_match_term_factors(self):
-        cs = lhv.ConstraintSystem.canonical()
-        for c, term in zip(cs.constraints, nine_terms()):
-            assert sorted(c.ids) == sorted(f.label for f in term.factors)
+        system = canonical_system()
+        for mask, term in zip(system.masks, nine_terms()):
+            ids = {lhv.ID_ORDER[i] for i in range(12) if mask >> i & 1}
+            assert ids == {f.label for f in term.factors}
 
     def test_rejects_unknown_id(self):
-        with pytest.raises(ValueError):
-            lhv.Constraint(("z9",), +1)
+        with pytest.raises(ValueError, match="non-local"):
+            lhv.constraints_for(make_functional([(+1, ["y1"], ["z3"])]))
 
 
 class TestCheckAssignment:
     def test_all_plus_one_satisfies_four(self):
-        cs = lhv.ConstraintSystem.canonical()
         values = {name: +1 for name in lhv.ID_ORDER}
-        assert lhv.check_assignment(values, cs) == 4
+        assert lhv.check_assignment(values, canonical_system()) == 4
 
     def test_no_assignment_satisfies_all_nine(self):
-        cs = lhv.ConstraintSystem.canonical()
+        system = canonical_system()
         best = max(
-            lhv.check_assignment(lhv.assignment_from_int(x), cs)
+            lhv.check_assignment(lhv.assignment_from_int(x), system)
             for x in range(4096)
         )
         assert best == 8
 
     def test_partial_assignment_rejected(self):
-        cs = lhv.ConstraintSystem.canonical()
         with pytest.raises(ValueError):
-            lhv.check_assignment({"z1": 1}, cs)
+            lhv.check_assignment({"z1": 1}, canonical_system())
 
 
 class TestImpossibilityProof:
     def test_canonical_certificate(self):
-        proof = lhv.prove_no_valid_assignment(lhv.ConstraintSystem.canonical())
+        proof = lhv.prove_no_valid_assignment(canonical_system())
         assert proof["parity_product"] == -1
         assert proof["all_ids_even_multiplicity"]
         assert proof["parity_says_impossible"]
@@ -102,10 +105,8 @@ class TestImpossibilityProof:
         assert proof["assignments_checked"] == 4096
 
     def test_flipping_ninth_sign_makes_it_satisfiable(self):
-        cs = lhv.ConstraintSystem.canonical()
-        mutated = lhv.ConstraintSystem(
-            cs.constraints[:8] + (lhv.Constraint(cs.constraints[8].ids, +1),)
-        )
+        system = canonical_system()
+        mutated = dataclasses.replace(system, parities=system.parities[:8] + (0,))
         proof = lhv.prove_no_valid_assignment(mutated)
         assert proof["parity_product"] == +1
         assert not proof["parity_says_impossible"]
@@ -115,19 +116,33 @@ class TestImpossibilityProof:
 
     @pytest.mark.parametrize("flip", range(9))
     def test_parity_and_exhaustion_agree_on_mutations(self, flip):
-        cs = lhv.ConstraintSystem.canonical()
-        constraints = list(cs.constraints)
-        constraints[flip] = lhv.Constraint(
-            constraints[flip].ids, -constraints[flip].required_product
-        )
-        proof = lhv.prove_no_valid_assignment(lhv.ConstraintSystem(tuple(constraints)))
+        system = canonical_system()
+        parities = list(system.parities)
+        parities[flip] ^= 1
+        mutated = dataclasses.replace(system, parities=tuple(parities))
+        proof = lhv.prove_no_valid_assignment(mutated)
         assert proof["parity_product"] == +1
         assert proof["exhaustive_count_satisfying_all"] > 0
 
     def test_single_constraint_leaves_half(self):
-        cs = lhv.ConstraintSystem((lhv.Constraint(("z1", "z3"), -1),))
-        proof = lhv.prove_no_valid_assignment(cs)
+        system = lhv.constraints_for(make_functional([(-1, ["z1"], ["z3"])]))
+        proof = lhv.prove_no_valid_assignment(system)
         assert proof["exhaustive_count_satisfying_all"] == 2048
+
+    def test_disagreeing_count_is_an_internal_error(self, monkeypatch):
+        # A histogram that claims a satisfying assignment contradicts the
+        # parity argument; the proof must refuse it rather than report it.
+        monkeypatch.setattr(
+            lhv.kernels, "satisfaction_histogram", lambda m, p, n: [0] * 9 + [1]
+        )
+        with pytest.raises(AssertionError, match="disagree"):
+            lhv.prove_no_valid_assignment(canonical_system())
+
+    def test_malformed_system_is_rejected_by_the_kernel(self):
+        with pytest.raises(ValueError, match="parity"):
+            lhv.ParitySystem((0b11,), (2,), 2).prove()
+        with pytest.raises(ValueError, match="outside"):
+            lhv.ParitySystem((0b100,), (1,), 2).prove()
 
 
 class TestLocalBound:

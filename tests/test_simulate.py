@@ -98,6 +98,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(1, 10, estimator="yproduct")
 
+    @pytest.mark.parametrize("shots", [2.5, 2.0, True, "10", None])
+    def test_shots_must_be_an_integer(self, shots):
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            run_experiment(1, shots)
+
+    def test_integer_like_shots_are_stored_as_int(self):
+        record = run_experiment(1, np.int64(50), seed=0)
+        assert record.shots_requested == 50
+        assert type(record.shots_requested) is int
+
     def test_reproducible_bit_for_bit(self):
         a = run_experiment(3, 5_000, NoiseModel(0.8, 0.9), seed=42)
         b = run_experiment(3, 5_000, NoiseModel(0.8, 0.9), seed=42)
