@@ -116,7 +116,8 @@ class BellFunctional:
 
     def value(self, state: states.StateVector) -> float:
         """Sum of sign-weighted expectations of the flattened observables."""
-        return sum(t.sign * states.expectation(t.observable, state) for t in self.terms)
+        values = states.expectations([t.observable for t in self.terms], state)
+        return sum(t.sign * v for t, v in zip(self.terms, values))
 
 
 def verify_nine_identities(state: states.StateVector, tol: float = states.NORM_TOL):
@@ -126,7 +127,7 @@ def verify_nine_identities(state: states.StateVector, tol: float = states.NORM_T
     not an eigenstate of that observable (a legal outcome for general
     states).
     """
-    return [states.eigensign(t.observable, state, tol) for t in nine_terms()]
+    return states.eigensigns([t.observable for t in nine_terms()], state, tol)
 
 
 def bell_functional_value(state: states.StateVector) -> float:
@@ -137,7 +138,7 @@ def operator_o_check(state: states.StateVector, tol: float = states.NORM_TOL) ->
     """True iff the signed sum of term operators maps state to 9*state."""
     import numpy as np
 
-    total = sum(
-        t.sign * states.apply(t.observable, state).amplitudes for t in nine_terms()
-    )
+    terms = nine_terms()
+    rows = states.images([t.observable for t in terms], state)
+    total = sum(t.sign * row for t, row in zip(terms, rows))
     return bool(np.all(np.abs(total - 9.0 * state.amplitudes) <= tol))

@@ -8,6 +8,13 @@ Each operator's action on amplitudes is computed once: the index map and
 the per-amplitude phase of a Pauli string depend only on the string, so
 they are built on first use, cached as read-only arrays, and every later
 application is one multiply and one scatter.
+
+A family of Pauli strings on one state (the nine term observables, say)
+is applied in one step: the family's index maps and phases are stacked
+into (family x 2^n) arrays, cached per family, and every image is one
+row of a single gather and multiply.  `eigensigns` and `expectations`
+work on such a family; `eigensign` and `expectation` are their
+one-operator cases.
 """
 
 from __future__ import annotations
@@ -147,14 +154,65 @@ def apply(op: PauliString, state: StateVector) -> StateVector:
     return StateVector(state.n_qubits, _apply_raw(op, state.amplitudes))
 
 
+@functools.lru_cache(maxsize=64)
+def _stacked_action(keys: tuple):
+    """Read-only (targets, factors) of a family of Pauli strings in gather
+    form: row k of the images is factors[k] * amps[targets[k]].
+
+    b -> b xor x is an involution, so gathering from target[b] with
+    factor[target[b]] reads the same operands the scatter of `_apply_raw`
+    writes to b.
+    """
+    actions = [_action(*key) for key in keys]
+    targets = np.stack([target for target, _ in actions])
+    factors = np.stack([factor[target] for target, factor in actions])
+    targets.flags.writeable = False
+    factors.flags.writeable = False
+    return targets, factors
+
+
+def images(ops, state: StateVector) -> np.ndarray:
+    """Rows op|state> for each op of a family, each checked like a
+    StateVector built by `apply`."""
+    ops = list(ops)
+    amps = state.amplitudes
+    for op in ops:
+        if op.n_qubits != state.n_qubits:
+            raise ValueError("qubit count mismatch")
+    if not ops:
+        return np.empty((0, len(amps)), dtype=complex)
+    targets, factors = _stacked_action(
+        tuple((op.n_qubits, op.x_mask, op.z_mask, op.phase_power) for op in ops)
+    )
+    rows = factors * amps[targets]
+    norms = np.square(rows.view(float)).sum(axis=1)
+    # Written so that a NaN norm fails too.
+    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)
+    if bad.any():
+        raise ValueError(f"state not normalized: |amps|^2 = {norms[bad][0]}")
+    return rows
+
+
+def expectations(ops, state: StateVector) -> list:
+    """<state|op|state> for each op of a family, each asserted real to
+    within 1e-12."""
+    ops = list(ops)
+    for op in ops:
+        if not op.is_hermitian:
+            raise ValueError(f"{op} is not Hermitian")
+    values = []
+    for row in images(ops, state):
+        # One vdot per row: a single matmul would round differently.
+        value = complex(np.vdot(state.amplitudes, row))
+        if not abs(value.imag) <= NORM_TOL:
+            raise AssertionError(f"expectation has imaginary part {value.imag}")
+        values.append(value.real)
+    return values
+
+
 def expectation(op: PauliString, state: StateVector) -> float:
     """<state|op|state>, asserted real to within 1e-12."""
-    if not op.is_hermitian:
-        raise ValueError(f"{op} is not Hermitian")
-    value = complex(np.vdot(state.amplitudes, apply(op, state).amplitudes))
-    if not abs(value.imag) <= NORM_TOL:
-        raise AssertionError(f"expectation has imaginary part {value.imag}")
-    return value.real
+    return expectations([op], state)[0]
 
 
 def equal_up_to_phase(a: StateVector, b: StateVector, tol: float = NORM_TOL) -> bool:
@@ -172,13 +230,20 @@ def equal_up_to_phase(a: StateVector, b: StateVector, tol: float = NORM_TOL) -> 
     )
 
 
+def eigensigns(ops, state: StateVector, tol: float = NORM_TOL) -> list:
+    """For each op of a family: +1 or -1 if state is an eigenstate of op
+    at that sign, else None."""
+    rows = images(ops, state)
+    plus, minus = (
+        np.all(np.abs(rows - sign * state.amplitudes) <= tol, axis=1)
+        for sign in (+1, -1)
+    )
+    return [+1 if p else -1 if m else None for p, m in zip(plus, minus)]
+
+
 def eigensign(op: PauliString, state: StateVector, tol: float = NORM_TOL):
     """+1 or -1 if state is an eigenstate of op at that sign, else None."""
-    image = apply(op, state).amplitudes
-    for sign in (+1, -1):
-        if np.all(np.abs(image - sign * state.amplitudes) <= tol):
-            return sign
-    return None
+    return eigensigns([op], state, tol)[0]
 
 
 # -- Born rule -------------------------------------------------------------

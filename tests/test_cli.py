@@ -1,12 +1,15 @@
 """CLI contract: subcommands, exit codes, deterministic JSON reports."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from avnlab import cli
 from avnlab.states import StateVector, build_psi
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv, capsys):
@@ -90,6 +93,15 @@ class TestAll:
         assert code == 0
         assert set(report) >= {"verify", "lhv", "ks", "simulate", "all_ok"}
         assert report["all_ok"] is True
+
+    def test_seed_0_certificate_matches_golden_bytes(self, tmp_path):
+        # At the default visibility and efficiency of 1 both binomial draws
+        # of every term are degenerate, so these bytes do not depend on
+        # numpy's generator.  Any change to them is a change of output.
+        path = tmp_path / "all.json"
+        code = cli.main(["all", "--json", "--seed", "0", "--out", str(path)])
+        assert code == 0
+        assert path.read_bytes() == (GOLDEN / "all_seed0.json").read_bytes()
 
 
 class TestUsageErrors:

@@ -1,16 +1,18 @@
 """The cached Pauli action and the cached observables and labels.
 
 Each dense application looks up an operator's (target, factor) arrays in
-a cache instead of rebuilding them.  These tests pin the cached path to
-an uncached copy of the formula, byte for byte, and to the dense-matrix
-oracle, for every Pauli string on up to six qubits.
+a cache instead of rebuilding them, and a family of operators is applied
+in one gather from stacked arrays.  These tests pin the cached and
+stacked paths to an uncached copy of the per-operator formula, byte for
+byte, and to the dense-matrix oracle, for every Pauli string on up to six
+qubits.
 """
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from avnlab import functional, ks, states
@@ -25,6 +27,7 @@ CACHE_SIZE = 256
 
 PLANS = [(k, "direct") for k in range(1, 10)] + [(9, "yproduct"), (9, "bellpairs")]
 PAIRS = ("phi+", "phi-", "psi+", "psi-")
+NINE = [term.observable for term in nine_terms()]
 
 
 def uncached_apply(op, amps):
@@ -37,6 +40,21 @@ def uncached_apply(op, amps):
     out = np.empty(dim, dtype=complex)
     out[idx ^ np.uint32(op.x_mask)] = phase * np.where(z_par, -1.0, 1.0) * amps
     return out
+
+
+def per_op_eigensign(op, state, tol=states.NORM_TOL):
+    """Eigenvalue sign of one operator, from the uncached image."""
+    image = states.StateVector(op.n_qubits, uncached_apply(op, state.amplitudes))
+    for sign in (+1, -1):
+        if np.all(np.abs(image.amplitudes - sign * state.amplitudes) <= tol):
+            return sign
+    return None
+
+
+def per_op_expectation(op, state):
+    """<state|op|state> of one operator, from the uncached image."""
+    image = states.StateVector(op.n_qubits, uncached_apply(op, state.amplitudes))
+    return complex(np.vdot(state.amplitudes, image.amplitudes)).real
 
 
 def uncached_born_hex(factors, amps):
@@ -80,6 +98,33 @@ def amplitudes(n):
 def op_and_amplitudes(draw):
     op = draw(paulis())
     return op, draw(amplitudes(op.n_qubits))
+
+
+@st.composite
+def families(draw):
+    """(ops, state): 1-12 Pauli strings, repeats allowed, and a random, a
+    basis or a two-pair eigenstate on the same qubits."""
+    kind = draw(st.sampled_from(["random", "basis", "two_pair"]))
+    if kind == "two_pair":
+        pairs = st.sampled_from(PAIRS)
+        state = ks.two_pair_state(draw(pairs), draw(pairs))
+    else:
+        n = draw(st.integers(1, MAX_QUBITS))
+        if kind == "basis":
+            bits = draw(st.integers(0, (1 << n) - 1))
+            state = states.StateVector.basis(n, format(bits, f"0{n}b"))
+        else:
+            amps = draw(amplitudes(n))
+            norm = np.linalg.norm(amps)
+            assume(norm > 1e-3)
+            state = states.StateVector(n, amps / norm)
+    distinct = draw(st.lists(paulis(state.n_qubits), min_size=1, max_size=12))
+    ops = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=12))
+    return ops, state
+
+
+def hermitian(op):
+    return PauliString(op.n_qubits, op.x_mask, op.z_mask, op.phase_power & 2)
 
 
 def oracle_matrix(op):
@@ -129,6 +174,80 @@ class TestCompiledAction:
         info = states._action.cache_info()
         assert info.maxsize == CACHE_SIZE
         assert info.currsize <= CACHE_SIZE
+
+
+class TestStackedFamilies:
+    @settings(max_examples=150, deadline=None)
+    @given(families())
+    @example((NINE, states.build_psi()))
+    @example((NINE + NINE[:3], ks.two_pair_state("phi-", "psi+")))
+    def test_eigensigns_match_per_op_code(self, case):
+        ops, state = case
+        assert states.eigensigns(ops, state) == [per_op_eigensign(op, state) for op in ops]
+
+    @settings(max_examples=150, deadline=None)
+    @given(families())
+    @example((NINE, states.build_psi()))
+    @example((NINE, ks.two_pair_state("psi-", "phi+")))
+    def test_expectations_match_per_op_code_bytewise(self, case):
+        ops, state = case
+        ops = [hermitian(op) for op in ops]
+        got = [value.hex() for value in states.expectations(ops, state)]
+        assert got == [per_op_expectation(op, state).hex() for op in ops]
+        assert got == [states.expectation(op, state).hex() for op in ops]
+
+    @settings(max_examples=50, deadline=None)
+    @given(families())
+    def test_images_match_uncached_formula_bytewise(self, case):
+        ops, state = case
+        rows = states.images(ops, state)
+        assert [row.tobytes() for row in rows] == [
+            uncached_apply(op, state.amplitudes).tobytes() for op in ops
+        ]
+
+    @settings(max_examples=50, deadline=None)
+    @given(families(), st.data())
+    def test_bad_member_raises_from_inside_a_family(self, case, data):
+        ops, state = case
+        ops = [hermitian(op) for op in ops]
+        at = data.draw(st.integers(0, len(ops)))
+        n = state.n_qubits
+        wrong_size = PauliString(n % MAX_QUBITS + 1, 0, 1, 0)
+        for call in (states.eigensigns, states.expectations, states.images):
+            with pytest.raises(ValueError, match="qubit count mismatch"):
+                call(ops[:at] + [wrong_size] + ops[at:], state)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            states.expectations(ops[:at] + [PauliString(n, 0, 1, 1)] + ops[at:], state)
+        nan_state = object.__new__(states.StateVector)
+        object.__setattr__(nan_state, "n_qubits", n)
+        object.__setattr__(
+            nan_state, "amplitudes", np.where(np.arange(1 << n) == 0, np.nan, 0.0) + 0j
+        )
+        for call in (states.eigensigns, states.expectations, states.images):
+            with pytest.raises(ValueError, match="not normalized"):
+                call(ops, nan_state)
+
+    def test_empty_family(self, psi):
+        assert states.eigensigns([], psi) == []
+        assert states.expectations([], psi) == []
+        assert states.images([], psi).shape == (0, 16)
+
+    def test_stacked_arrays_are_read_only(self):
+        targets, factors = states._stacked_action(((3, 0b101, 0b011, 1), (3, 0, 0b110, 0)))
+        assert targets.shape == factors.shape == (2, 8)
+        assert targets.dtype == np.uint32
+        with pytest.raises(ValueError):
+            targets[0, 0] = 1
+        with pytest.raises(ValueError):
+            factors[0, 0] = 1.0
+
+    def test_stacked_cache_is_bounded(self, psi):
+        maxsize = states._stacked_action.cache_info().maxsize
+        assert maxsize is not None
+        for x in range(maxsize + 40):
+            family = [PauliString(4, x % 16, x // 16, 0), PauliString(4, 0, 0, 0)]
+            states.images(family, psi)
+        assert states._stacked_action.cache_info().currsize <= maxsize
 
 
 class TestProductsAgainstDenseOracle:

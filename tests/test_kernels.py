@@ -1,12 +1,14 @@
 """The numpy enumeration kernels against the brute-force oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as oracle
-from avnlab import kernels, lhv
+from avnlab import kernels, ks, lhv
 
 KERNELS = [kernels.satisfaction_histogram, kernels.max_weighted_parity]
 
@@ -90,6 +92,10 @@ class TestBackendAgreement:
         assert result == oracle.max_weighted_parity(masks, signs, n_vars)
         assert all(type(v) is int for v in result)
 
+    # The chunk shrinks as constraints are added (2^14, 2^12 and 2^10
+    # assignments at k = 1, 9 and 64), so padding with zero-weight
+    # constraints moves the block boundaries the witness must cross.
+    @pytest.mark.parametrize("k", [1, 9, 64])
     @pytest.mark.parametrize(
         "masks, signs, expected",
         [
@@ -101,7 +107,10 @@ class TestBackendAgreement:
             ([0, 0], [1, -1], (0, 0)),
         ],
     )
-    def test_ties_give_the_smallest_witness(self, masks, signs, expected):
+    def test_ties_give_the_smallest_witness(self, masks, signs, expected, k):
+        padding = [(i * 40503) % (1 << 17) for i in range(k - len(masks))]
+        masks = masks + padding
+        signs = signs + [0] * len(padding)
         assert kernels.max_weighted_parity(masks, signs, 17) == expected
 
 
@@ -118,6 +127,18 @@ class TestValidation:
     def test_n_vars_outside_cap(self, kernel, n_vars):
         with pytest.raises(ValueError, match="n_vars"):
             kernel([], [], n_vars)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("mask", [1.5, "1", None])
+    def test_masks_must_be_integers(self, kernel, mask):
+        with pytest.raises(ValueError, match="masks must be integers"):
+            kernel([mask], [1], 2)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("n_vars", [2.0, True, "2", None])
+    def test_n_vars_must_be_an_int(self, kernel, n_vars):
+        with pytest.raises(ValueError, match="n_vars must be an int"):
+            kernel([1], [1], n_vars)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_rejects_oversized_problems(self, kernel):
@@ -153,6 +174,58 @@ class TestValidation:
         # x = 0 attains the full sum 2^63 - 1, which still fits in int64.
         result = kernels.max_weighted_parity([1, 1], [2**62, 2**62 - 1], 1)
         assert result == (2**63 - 1, 0)
+
+    # Mixed signs whose absolute values sum to 2^63 - 1 over distinct masks:
+    # twice a partial sum overflows int64 in the middle of the kernel's
+    # arithmetic, and the wrapped result must still be exact.
+    @pytest.mark.parametrize(
+        "masks, signs",
+        [
+            ([1, 2], [2**62, -(2**62 - 1)]),
+            ([1, 2], [-(2**62), 2**62 - 1]),
+            ([1], [-(2**63 - 1)]),
+            ([1, 2, 3], [2**62, -(2**61), -(2**61 - 1)]),
+            ([1, 2, 3], [-(2**62), 2**61, -(2**61 - 1)]),
+            ([3, 1, 2, 0], [-(2**61), -(2**61), -(2**61), 2**61 - 1]),
+        ],
+    )
+    def test_mixed_sign_extremes_match_oracle(self, masks, signs):
+        assert sum(abs(sign) for sign in signs) == 2**63 - 1
+        result = kernels.max_weighted_parity(masks, signs, 2)
+        assert result == oracle.max_weighted_parity(masks, signs, 2)
+
+
+class TestMemory:
+    """Each chunk is one (constraints x chunk) block of at most 2^16 parity
+    bits, so the working set stays small whatever the problem size."""
+
+    LIMIT = 512 * 1024
+
+    @staticmethod
+    def peak_bytes(masks, parities, n_vars):
+        # The first call in a process allocates numpy's lazily built state.
+        kernels.satisfaction_histogram(masks, parities, n_vars)
+        tracemalloc.start()
+        try:
+            kernels.satisfaction_histogram(masks, parities, n_vars)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_ks_histogram(self):
+        system = ks.parity_system(ks.KsTable.canonical())
+        assert (len(system.masks), system.n_vars) == (10, 17)
+        peak = self.peak_bytes(system.masks, system.parities, system.n_vars)
+        assert peak < self.LIMIT
+
+    def test_64_constraint_histogram(self):
+        masks = [(1 << 16) - 1 - 997 * i for i in range(64)]
+        peak = self.peak_bytes(masks, [i % 2 for i in range(64)], 16)
+        assert peak < self.LIMIT
+
+    def test_one_constraint_histogram(self):
+        # Few constraints would allow long chunks; chunks stop at 2^14.
+        assert self.peak_bytes([0b1011], [1], 20) < self.LIMIT
 
 
 class TestParitySystem:

@@ -147,8 +147,8 @@ class TestExpectation:
             expectation(parse("i·y1", 4), psi)
 
     def test_nan_expectation_raises(self):
-        # The image op|state> is a checked StateVector, so its norm check
-        # fires before the imaginary-part check is reached.
+        # The norm of the image op|state> is checked, so that check fires
+        # before the imaginary-part check is reached.
         state = unchecked_state(1, [np.nan, 0.0])
         with pytest.raises(ValueError, match="not normalized"):
             expectation(parse("z1", 1), state)
