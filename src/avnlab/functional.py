@@ -32,17 +32,7 @@ class ExperimentTerm:
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ValueError("sign must be ±1")
-        for f in self.alice_factors:
-            if not (f.is_hermitian and f.supported_on(ALICE_QUBITS)):
-                raise ValueError(f"bad Alice factor {f}")
-        for f in self.bob_factors:
-            if not (f.is_hermitian and f.supported_on(BOB_QUBITS)):
-                raise ValueError(f"bad Bob factor {f}")
-        fs = self.factors
-        for i, a in enumerate(fs):
-            for b in fs[i + 1:]:
-                if not a.commutes(b):
-                    raise ValueError(f"{a} and {b} do not commute")
+        _check_factors(self.alice_factors, self.bob_factors)
 
     @property
     def factors(self) -> tuple:
@@ -58,6 +48,24 @@ class ExperimentTerm:
         alice = "".join(f.label for f in self.alice_factors)
         bob = "".join(f.label for f in self.bob_factors)
         return f"{alice}·{bob}"
+
+
+@lru_cache(maxsize=256)
+def _check_factors(alice_factors: tuple, bob_factors: tuple) -> None:
+    """Hermiticity, support and pairwise commutation of a term's factors,
+    checked once per distinct pair of factor tuples, so re-signed terms
+    skip it.  A failed check raises and is not cached."""
+    for f in alice_factors:
+        if not (f.is_hermitian and f.supported_on(ALICE_QUBITS)):
+            raise ValueError(f"bad Alice factor {f}")
+    for f in bob_factors:
+        if not (f.is_hermitian and f.supported_on(BOB_QUBITS)):
+            raise ValueError(f"bad Bob factor {f}")
+    fs = alice_factors + bob_factors
+    for i, a in enumerate(fs):
+        for b in fs[i + 1:]:
+            if not a.commutes(b):
+                raise ValueError(f"{a} and {b} do not commute")
 
 
 @lru_cache(maxsize=256)

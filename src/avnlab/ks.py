@@ -38,13 +38,22 @@ class KsTable:
     row_targets: tuple
     column_targets: tuple
 
+    def __post_init__(self):
+        if len(self.row_targets) != len(self.grid) or any(
+            len(row) != len(self.column_targets) for row in self.grid
+        ):
+            raise ValueError("grid shape does not match the line targets")
+        for kind, index, ops, target in self.lines():
+            if not ops:
+                raise ValueError(f"{kind} {index + 1} has no operators")
+            if target not in (+1, -1):
+                raise ValueError(f"{kind} {index + 1} target {target!r} is not ±1")
+
     @classmethod
     def canonical(cls) -> "KsTable":
-        grid = tuple(
-            tuple(None if cell is None else parse(cell, 4) for cell in row)
-            for row in _CANONICAL_CELLS
-        )
-        return cls(grid, (+1,) * 5, (+1, +1, +1, +1, -1))
+        """The 17-operator table; built once at import, since tables and
+        Pauli strings are immutable."""
+        return CANONICAL_TABLE
 
     def cells(self):
         """Populated cells in (row, column) scan order."""
@@ -65,6 +74,17 @@ class KsTable:
             ops = [row[c] for row in self.grid if row[c] is not None]
             out.append(("column", c, ops, target))
         return out
+
+
+#: The 17-operator table of the proof.
+CANONICAL_TABLE = KsTable(
+    tuple(
+        tuple(None if cell is None else parse(cell, 4) for cell in row)
+        for row in _CANONICAL_CELLS
+    ),
+    (+1,) * 5,
+    (+1, +1, +1, +1, -1),
+)
 
 
 def verify_table_structure(table: KsTable) -> dict:
@@ -107,9 +127,14 @@ def parity_system(table: KsTable) -> lhv.ParitySystem:
     return lhv.ParitySystem(tuple(masks), tuple(parities), len(index))
 
 
-def prove_ks_contradiction(table: KsTable) -> dict:
-    """Noncontextuality impossibility certificate for the table."""
-    structure = verify_table_structure(table)
+def prove_ks_contradiction(table: KsTable, structure: dict = None) -> dict:
+    """Noncontextuality impossibility certificate for the table.
+
+    `structure` is the table's `verify_table_structure` report, computed
+    here when not given; a failed structure check raises ValueError.
+    """
+    if structure is None:
+        structure = verify_table_structure(table)
     if not structure["all_ok"]:
         raise ValueError("table structure check failed")
 
@@ -212,7 +237,7 @@ def certificate() -> dict:
     """JSON-ready report: structure, contradiction, eigenfamily sweep."""
     table = KsTable.canonical()
     structure = verify_table_structure(table)
-    contradiction = prove_ks_contradiction(table)
+    contradiction = prove_ks_contradiction(table, structure)
     sweep = eigenfamily_sweep()
     return {
         "table": [

@@ -103,6 +103,12 @@ class TestAll:
         assert code == 0
         assert path.read_bytes() == (GOLDEN / "all_seed0.json").read_bytes()
 
+    def test_seed_0_text_report_matches_golden_bytes(self, tmp_path):
+        path = tmp_path / "all.txt"
+        code = cli.main(["all", "--seed", "0", "--out", str(path)])
+        assert code == 0
+        assert path.read_bytes() == (GOLDEN / "all_seed0.txt").read_bytes()
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_64(self):

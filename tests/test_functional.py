@@ -65,6 +65,22 @@ class TestTermStructure:
         with pytest.raises(ValueError):
             ExperimentTerm(2, (parse("z1", 4),), (parse("z3", 4),))
 
+    @pytest.mark.parametrize(
+        "alice, bob, reason",
+        [
+            (("z1", "x1"), (), "do not commute"),
+            (("z3",), (), "bad Alice factor"),
+            (("z1",), ("x1",), "bad Bob factor"),
+        ],
+    )
+    def test_bad_factors_raise_on_every_construction(self, alice, bob, reason):
+        # The factor checks are cached per factor pair; a failure must not be.
+        alice = tuple(parse(s, 4) for s in alice)
+        bob = tuple(parse(s, 4) for s in bob)
+        for sign in (+1, -1, +1):
+            with pytest.raises(ValueError, match=reason):
+                ExperimentTerm(sign, alice, bob)
+
 
 class TestNineIdentities:
     def test_signs_on_psi(self, psi):

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as oracle
-from avnlab import kernels, ks, lhv
+from avnlab import cli, kernels, ks, lhv
+from avnlab.functional import BellFunctional
 
 KERNELS = [kernels.satisfaction_histogram, kernels.max_weighted_parity]
 
@@ -21,9 +22,9 @@ def random_system(rng, n_vars, n_constraints):
 
 
 @st.composite
-def systems(draw, max_vars=16, max_constraints=6):
+def systems(draw, max_vars=16, max_constraints=6, min_vars=0):
     """(masks, parities, signs, n_vars) with masks anywhere in [0, 2^n)."""
-    n_vars = draw(st.integers(0, max_vars))
+    n_vars = draw(st.integers(min_vars, max_vars))
     k = draw(st.integers(0, max_constraints))
     masks = draw(st.lists(st.integers(0, (1 << n_vars) - 1), min_size=k, max_size=k))
     parities = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
@@ -91,6 +92,39 @@ class TestBackendAgreement:
         result = kernels.max_weighted_parity(masks, signs, n_vars)
         assert result == oracle.max_weighted_parity(masks, signs, n_vars)
         assert all(type(v) is int for v in result)
+
+    # Every chunk after the first is the first chunk's cached block with
+    # rows flipped, so the property runs over many chunks: at k = 1, 9 and
+    # 64 a chunk holds 2^14, 2^12 and 2^10 assignments.  The oracle's cost
+    # grows as (k + 1) * 2^n_vars, which keeps k small at large n_vars.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 20).flatmap(
+            lambda n: systems(
+                min_vars=n,
+                max_vars=n,
+                max_constraints=min(64, max(0, (1 << 18 >> n) - 1)),
+            )
+        )
+    )
+    # Masks only above the chunk bits: the first block is all even and
+    # every bit comes from the per-chunk flips.
+    @example(([1 << 17 | 1 << 14, 1 << 16, 1 << 15], [1, 0, 1], [-1, 2, -1], 18))
+    @example(([(i % 7 + 1) << 10 for i in range(64)], [i % 2 for i in range(64)],
+              [(-1) ** i * (i % 3) for i in range(64)], 13))
+    # Masks only below the chunk bits: every flip is 0.
+    @example(([0b1011, 1 << 13], [1, 1], [1, -1], 18))
+    @example(([(i * 37) % 1024 for i in range(64)], [i % 2 for i in range(64)],
+              [(-1) ** i for i in range(64)], 13))
+    @example(([], [], [], 20))
+    def test_many_chunks_match_oracle(self, system):
+        masks, parities, signs, n_vars = system
+        assert kernels.satisfaction_histogram(
+            masks, parities, n_vars
+        ) == oracle.satisfaction_histogram(masks, parities, n_vars)
+        assert kernels.max_weighted_parity(
+            masks, signs, n_vars
+        ) == oracle.max_weighted_parity(masks, signs, n_vars)
 
     # The chunk shrinks as constraints are added (2^14, 2^12 and 2^10
     # assignments at k = 1, 9 and 64), so padding with zero-weight
@@ -226,6 +260,45 @@ class TestMemory:
     def test_one_constraint_histogram(self):
         # Few constraints would allow long chunks; chunks stop at 2^14.
         assert self.peak_bytes([0b1011], [1], 20) < self.LIMIT
+
+
+class TestBlockCache:
+    """The first block of each (masks, n_vars) is built once and shared."""
+
+    def test_blocks_are_read_only(self):
+        block = kernels._first_block((0b011, 0b110), 3)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1
+
+    def test_cache_stays_bounded(self):
+        maxsize = kernels._first_block.cache_info().maxsize
+        assert maxsize is not None
+        systems = [([m, m >> 1], [1, 0], 8) for m in range(3, maxsize + 13)]
+        for masks, parities, n_vars in systems:
+            kernels.satisfaction_histogram(masks, parities, n_vars)
+        assert kernels._first_block.cache_info().currsize == maxsize
+        # An evicted system is rebuilt and still exact.
+        masks, parities, n_vars = systems[0]
+        assert kernels.satisfaction_histogram(
+            masks, parities, n_vars
+        ) == oracle.satisfaction_histogram(masks, parities, n_vars)
+
+    def test_one_all_run_builds_two_blocks(self, tmp_path):
+        # Two histograms and 18 local bounds; the 9-mask LHV block serves
+        # the LHV histogram and all 18 bounds, the 10-mask block the KS one.
+        kernels._first_block.cache_clear()
+        out = tmp_path / "all.json"
+        assert cli.main(["all", "--shots", "1000", "--json", "--out", str(out)]) == 0
+        info = kernels._first_block.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 18)
+        lhv_system = lhv.constraints_for(BellFunctional.canonical())
+        ks_system = ks.parity_system(ks.KsTable.canonical())
+        assert (len(lhv_system.masks), len(ks_system.masks)) == (9, 10)
+        for system in (lhv_system, ks_system):
+            kernels._first_block(system.masks, system.n_vars)
+        info = kernels._first_block.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 20)
 
 
 class TestParitySystem:

@@ -64,6 +64,38 @@ class TestTableStructure:
         assert "column 5" in failing
 
 
+class TestMalformedTable:
+    """A table that cannot describe ten lines is refused when built."""
+
+    def test_empty_row(self, table):
+        grid = table.grid[:1] + ((None,) * 5,) + table.grid[2:]
+        with pytest.raises(ValueError, match="^row 2 has no operators$"):
+            dataclasses.replace(table, grid=grid)
+
+    def test_empty_column(self, table):
+        grid = tuple(row[:3] + (None,) + row[4:] for row in table.grid)
+        with pytest.raises(ValueError, match="^column 4 has no operators$"):
+            dataclasses.replace(table, grid=grid)
+
+    @pytest.mark.parametrize("target", [0, 2, -2, None])
+    def test_target_outside_plus_minus_one(self, table, target):
+        with pytest.raises(ValueError, match=f"^column 5 target {target!r} is not ±1$"):
+            dataclasses.replace(table, column_targets=(+1, +1, +1, +1, target))
+        with pytest.raises(ValueError, match=f"^row 1 target {target!r} is not ±1$"):
+            dataclasses.replace(table, row_targets=(target,) + (+1,) * 4)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"row_targets": (+1,) * 4},
+            {"column_targets": (+1,) * 6},
+        ],
+    )
+    def test_targets_must_match_the_grid(self, table, changes):
+        with pytest.raises(ValueError, match="grid shape"):
+            dataclasses.replace(table, **changes)
+
+
 class TestContradiction:
     def test_canonical_proof(self, table):
         proof = ks.prove_ks_contradiction(table)
@@ -103,6 +135,23 @@ class TestContradiction:
         ):
             assert [cells[i] for i in range(17) if mask >> i & 1] == ops
             assert (-1) ** parity == target
+
+    def test_canonical_table_is_built_once(self, table):
+        assert ks.KsTable.canonical() is table is ks.CANONICAL_TABLE
+
+    def test_certificate_checks_structure_once(self, table, monkeypatch):
+        calls = []
+        check = ks.verify_table_structure
+
+        def counted(t):
+            calls.append(t)
+            return check(t)
+
+        monkeypatch.setattr(ks, "verify_table_structure", counted)
+        monkeypatch.setattr(ks, "eigenfamily_sweep", lambda: [])
+        report = ks.certificate()
+        assert calls == [table]
+        assert report["contradiction"] == ks.prove_ks_contradiction(table)
 
     def test_structure_failure_raises(self, table):
         grid = list(map(list, table.grid))
