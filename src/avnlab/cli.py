@@ -105,7 +105,7 @@ def _emit(report, args) -> bool:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         text = _render_text(report, args.command)
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(text)
         return True
     try:
@@ -177,9 +177,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.shots <= 0:
-        build_parser().error("--shots must be positive")
+        parser.error("--shots must be positive")
+    if args.out == "":
+        parser.error("--out must name a file")
+    try:
+        # Checked for every subcommand, not only those that simulate.
+        simulate.NoiseModel(args.visibility, args.efficiency)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.visibility == 0:
+        args.visibility = 0.0  # -0.0 would be reported with its sign
     try:
         if args.command == "verify":
             report = run_verify()
@@ -204,7 +214,7 @@ def main(argv=None) -> int:
                 report[k]["all_ok"] for k in ("verify", "lhv", "ks", "simulate")
             )
     except (ValueError, simulate.DegenerateRecordError) as exc:
-        build_parser().error(str(exc))
+        parser.error(str(exc))
     except AssertionError as exc:
         sys.stderr.write(f"internal invariant breach: {exc}\n")
         return EXIT_INVARIANT

@@ -8,7 +8,7 @@ flattening a term multiplies everything into a single Pauli string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 from . import states
@@ -28,20 +28,18 @@ class ExperimentTerm:
     sign: int
     alice_factors: tuple
     bob_factors: tuple
+    #: Product of all factors (the term's sign is not included).
+    observable: PauliString = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ValueError("sign must be ±1")
-        _check_factors(self.alice_factors, self.bob_factors)
+        observable = _checked_observable(self.alice_factors, self.bob_factors)
+        object.__setattr__(self, "observable", observable)
 
     @property
     def factors(self) -> tuple:
         return self.alice_factors + self.bob_factors
-
-    @property
-    def observable(self) -> PauliString:
-        """Product of all factors (the term's sign is not included)."""
-        return _flatten(self.factors)
 
     @property
     def label(self) -> str:
@@ -51,10 +49,12 @@ class ExperimentTerm:
 
 
 @lru_cache(maxsize=256)
-def _check_factors(alice_factors: tuple, bob_factors: tuple) -> None:
-    """Hermiticity, support and pairwise commutation of a term's factors,
-    checked once per distinct pair of factor tuples, so re-signed terms
-    skip it.  A failed check raises and is not cached."""
+def _checked_observable(alice_factors: tuple, bob_factors: tuple) -> PauliString:
+    """Product of a term's factors, after checking their Hermiticity,
+    support and pairwise commutation.  Both are done once per distinct
+    pair of factor tuples, so terms that differ only in sign skip the
+    checks and share one observable.  A failed check raises and is not
+    cached."""
     for f in alice_factors:
         if not (f.is_hermitian and f.supported_on(ALICE_QUBITS)):
             raise ValueError(f"bad Alice factor {f}")
@@ -66,13 +66,7 @@ def _check_factors(alice_factors: tuple, bob_factors: tuple) -> None:
         for b in fs[i + 1:]:
             if not a.commutes(b):
                 raise ValueError(f"{a} and {b} do not commute")
-
-
-@lru_cache(maxsize=256)
-def _flatten(factors: tuple) -> PauliString:
-    """Product of a factor tuple, computed once per distinct tuple, so
-    terms that differ only in sign share one observable."""
-    return reduce(PauliString.multiply, factors)
+    return reduce(PauliString.multiply, fs)
 
 
 def _term(sign, alice, bob, n=4):

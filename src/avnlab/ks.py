@@ -13,6 +13,7 @@ agree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,8 +176,11 @@ _PAIR_STATES = {
 }
 
 
+@functools.lru_cache(maxsize=16)
 def two_pair_state(pair13: str, pair24: str) -> states.StateVector:
-    """4-qubit state with a Bell state on qubits (1,3) and one on (2,4)."""
+    """4-qubit state with a Bell state on qubits (1,3) and one on (2,4);
+    each of the 16 is built on first use and kept, since states are
+    immutable."""
     s13 = _PAIR_STATES[pair13][0].amplitudes
     s24 = _PAIR_STATES[pair24][0].amplitudes
     amps = np.zeros(16, dtype=complex)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,25 +71,39 @@ class ParitySystem:
         }
 
 
-def term_ids(term) -> tuple:
-    """Local observable ids referenced by one term's factors."""
-    ids = tuple(f.label for f in term.factors)
+def _checked_ids(ids: tuple) -> tuple:
     unknown = set(ids) - set(ID_ORDER)
     if unknown:
         raise ValueError(f"term references non-local observables {sorted(unknown)}")
     return ids
 
 
-def constraints_for(functional: BellFunctional) -> ParitySystem:
-    """One parity constraint per term, with the term's sign as target."""
+def term_ids(term) -> tuple:
+    """Local observable ids referenced by one term's factors."""
+    return _checked_ids(tuple(f.label for f in term.factors))
+
+
+@lru_cache(maxsize=64)
+def _masks(term_labels: tuple) -> tuple:
+    """One mask per tuple of factor labels.  The masks do not depend on
+    the terms' signs, so sign-adapted functionals share one entry.  An
+    unknown id raises and is not cached."""
     masks = []
-    for t in functional.terms:
+    for ids in term_labels:
         mask = 0
-        for name in term_ids(t):
+        for name in _checked_ids(ids):
             mask ^= 1 << _ID_INDEX[name]
         masks.append(mask)
+    return tuple(masks)
+
+
+def constraints_for(functional: BellFunctional) -> ParitySystem:
+    """One parity constraint per term, with the term's sign as target."""
+    masks = _masks(
+        tuple(tuple(f.label for f in t.factors) for t in functional.terms)
+    )
     parities = tuple(0 if t.sign == +1 else 1 for t in functional.terms)
-    return ParitySystem(tuple(masks), parities, N_IDS)
+    return ParitySystem(masks, parities, N_IDS)
 
 
 def assignment_from_int(x: int) -> dict:

@@ -234,10 +234,9 @@ def eigensigns(ops, state: StateVector, tol: float = NORM_TOL) -> list:
     """For each op of a family: +1 or -1 if state is an eigenstate of op
     at that sign, else None."""
     rows = images(ops, state)
-    plus, minus = (
-        np.all(np.abs(rows - sign * state.amplitudes) <= tol, axis=1)
-        for sign in (+1, -1)
-    )
+    # Both signs in one comparison: axis 0 is +1, then -1.
+    targets = np.array([+1, -1])[:, None, None] * state.amplitudes
+    plus, minus = np.all(np.abs(rows - targets) <= tol, axis=2)
     return [+1 if p else -1 if m else None for p, m in zip(plus, minus)]
 
 

@@ -86,6 +86,20 @@ class TestSimulate:
         assert not report["violates_local_bound"]
 
 
+    def test_negative_zero_visibility_is_recorded_as_zero(self, capsys):
+        code, out = run(
+            ["simulate", "--shots", "3000", "--visibility", "-0.0", "--json"],
+            capsys,
+        )
+        assert code == 0
+        assert '"visibility": 0.0' in out
+        assert '"visibility": -0.0' not in out
+        assert json.loads(out) == json.loads(
+            run(["simulate", "--shots", "3000", "--visibility", "0", "--json"],
+                capsys)[1]
+        )
+
+
 class TestAll:
     def test_aggregate_certificate(self, capsys):
         code, out = run(["all", "--shots", "1000", "--json"], capsys)
@@ -133,6 +147,48 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--visibility", "2.0"])
         assert exc.value.code == 64
+
+    @pytest.mark.parametrize("command", ["verify", "lhv", "ks"])
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--visibility", "7", "visibility must lie in [0, 1]"),
+            ("--efficiency", "0", "detector efficiency must lie in (0, 1]"),
+        ],
+    )
+    def test_noise_options_checked_without_simulation(
+        self, command, option, value, message, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, option, value])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"\nerror: {message}\n")
+        assert captured.err.count("error:") == 1
+
+    def test_empty_out_exits_64(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--json", "--out", ""])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("\nerror: --out must name a file\n")
+
+    def test_parser_is_built_once(self, monkeypatch):
+        calls = []
+        build = cli.build_parser
+
+        def counting_build():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        with pytest.raises(SystemExit):
+            cli.main(["simulate", "--shots", "100000000000000000000000"])
+        with pytest.raises(SystemExit):
+            cli.main(["simulate", "--shots", "0"])
+        assert len(calls) == 2
 
     def test_every_shot_lost_exits_64(self, capsys):
         with pytest.raises(SystemExit) as exc:

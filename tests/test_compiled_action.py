@@ -289,11 +289,10 @@ class TestCachedObservables:
             assert term.observable == a * b
             seen.add(term.factors)
         assert len(seen) > CACHE_SIZE
-        # Both per-factor-pair caches, observables and factor checks.
-        for cached in (functional._flatten, functional._check_factors):
-            info = cached.cache_info()
-            assert info.maxsize == CACHE_SIZE
-            assert info.currsize <= CACHE_SIZE
+        # One per-factor-pair cache holds both the checks and the observables.
+        info = functional._checked_observable.cache_info()
+        assert info.maxsize == CACHE_SIZE
+        assert info.currsize <= CACHE_SIZE
 
     @settings(max_examples=100, deadline=None)
     @given(paulis())

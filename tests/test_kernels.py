@@ -263,13 +263,42 @@ class TestMemory:
 
 
 class TestBlockCache:
-    """The first block of each (masks, n_vars) is built once and shared."""
+    """The distinct columns of each (masks, n_vars) are found once and
+    shared."""
 
     def test_blocks_are_read_only(self):
-        block = kernels._first_block((0b011, 0b110), 3)
-        assert not block.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            block[0, 0] = 1
+        cached = kernels._first_block((0b011, 0b110), 3)
+        assert len(cached) == 3
+        for array in cached:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    # A chunk's k x size block holds at most 2^16 bits, so the scan stays
+    # small at any of these sizes.
+    @settings(max_examples=40, deadline=None)
+    @given(systems(max_vars=16, max_constraints=64))
+    @example(([], [], [], 0))
+    @example(([], [], [], 18))
+    @example(([1 << 15, 3], [0, 0], [0, 0], 16))
+    @example(([0b1111] * 3, [0] * 3, [0] * 3, 4))
+    def test_columns_match_a_scan_of_the_first_chunk(self, system):
+        masks, _, _, n_vars = system
+        odd, first, count = kernels._first_block(tuple(masks), n_vars)
+        k_bits = (max(len(masks), 1) - 1).bit_length()
+        size = 1 << min(n_vars, 14, 16 - k_bits)
+        offsets = {}
+        for i in range(size):
+            column = tuple((i & mask).bit_count() & 1 for mask in masks)
+            offsets.setdefault(column, []).append(i)
+        columns = [tuple(int(bit) for bit in odd[:, j]) for j in range(odd.shape[1])]
+        assert odd.shape == (len(masks), len(offsets))
+        assert len(set(columns)) == len(columns)
+        assert int(count.sum()) == size
+        assert [(offsets[c][0], len(offsets[c])) for c in columns] == list(
+            zip(first.tolist(), count.tolist())
+        )
+        assert first.tolist() == sorted(first.tolist())
 
     def test_cache_stays_bounded(self):
         maxsize = kernels._first_block.cache_info().maxsize

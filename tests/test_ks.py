@@ -163,14 +163,27 @@ class TestContradiction:
             ks.prove_ks_contradiction(mutated)
 
 
+PAIRS = ("phi+", "phi-", "psi+", "psi-")
+
+
 class TestTwoPairStates:
     def test_double_singlet_matches_build_psi(self):
         from avnlab.states import build_psi
 
         assert equal_up_to_phase(ks.two_pair_state("psi-", "psi-"), build_psi())
 
-    @pytest.mark.parametrize("pair13", ["phi+", "phi-", "psi+", "psi-"])
-    @pytest.mark.parametrize("pair24", ["phi+", "phi-", "psi+", "psi-"])
+    def test_states_are_built_once(self):
+        ks.two_pair_state.cache_clear()
+        first = [ks.two_pair_state(a, b) for a in PAIRS for b in PAIRS]
+        again = [ks.two_pair_state(a, b) for a in PAIRS for b in PAIRS]
+        assert all(x is y for x, y in zip(first, again))
+        info = ks.two_pair_state.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (16, 16, 16)
+        assert info.maxsize == 16
+        assert not any(state.amplitudes.flags.writeable for state in first)
+
+    @pytest.mark.parametrize("pair13", PAIRS)
+    @pytest.mark.parametrize("pair24", PAIRS)
     def test_seed_operator_eigenvalues(self, pair13, pair24):
         state = ks.two_pair_state(pair13, pair24)
         _, z13, x13 = ks._PAIR_STATES[pair13]

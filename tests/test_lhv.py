@@ -75,6 +75,25 @@ class TestConstraintSystem:
         with pytest.raises(ValueError, match="non-local"):
             lhv.constraints_for(make_functional([(+1, ["y1"], ["z3"])]))
 
+    def test_unknown_id_raises_on_every_call(self):
+        functional = make_functional([(+1, ["y1"], ["z3"])])
+        for _ in range(3):
+            with pytest.raises(ValueError, match="non-local"):
+                lhv.constraints_for(functional)
+            with pytest.raises(ValueError, match="non-local"):
+                lhv.local_bound(functional)
+
+    def test_sign_adapted_functionals_share_one_mask_entry(self):
+        functional = BellFunctional.canonical()
+        flipped = functional.with_signs([-t.sign for t in functional.terms])
+        lhv._masks.cache_clear()
+        systems = [lhv.constraints_for(f) for f in (functional, flipped, functional)]
+        info = lhv._masks.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+        assert systems[0].masks is systems[1].masks
+        assert systems[1].parities == tuple(1 - p for p in systems[0].parities)
+        assert info.maxsize is not None
+
 
 class TestCheckAssignment:
     def test_all_plus_one_satisfies_four(self):

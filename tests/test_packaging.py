@@ -1,8 +1,11 @@
 """Packaging metadata: the version is written once, in avnlab/__init__.py,
-and every third-party module the tests import is a declared dependency."""
+every third-party module the tests import is a declared dependency, and
+importing the CLI builds none of the cached work."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,3 +67,25 @@ def test_test_imports_are_declared():
     )
     assert {"numpy", "pytest", "hypothesis"} <= imported
     assert imported - declared == set()
+
+
+def test_import_builds_no_cached_work():
+    # Every CLI process pays for what import builds, so the caches of the
+    # certificate path must fill on first use, not at import.
+    code = (
+        "import avnlab.cli\n"
+        "from avnlab import kernels, ks, lhv\n"
+        "for cached in (kernels._first_block, ks.two_pair_state, lhv._masks):\n"
+        "    print(cached.cache_info().currsize)\n"
+    )
+    path = str(ROOT / "src")
+    if os.environ.get("PYTHONPATH"):
+        path += os.pathsep + os.environ["PYTHONPATH"]
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout.split() == ["0", "0", "0"]
