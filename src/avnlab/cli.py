@@ -9,6 +9,7 @@ write the --out file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -164,7 +165,10 @@ def _render_text(report, command) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it;
+    parsing keeps no state between calls."""
     parser = _Parser(prog="avnlab", description=__doc__)
     parser.add_argument("command", choices=["verify", "lhv", "ks", "simulate", "all"])
     parser.add_argument("--shots", type=int, default=100000)

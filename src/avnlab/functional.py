@@ -30,12 +30,26 @@ class ExperimentTerm:
     bob_factors: tuple
     #: Product of all factors (the term's sign is not included).
     observable: PauliString = field(init=False, repr=False, compare=False)
+    #: Labels of the factors, Alice's first: the term's local observable ids.
+    ids: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ValueError("sign must be ±1")
-        observable = _checked_observable(self.alice_factors, self.bob_factors)
+        observable, ids = _checked_observable(self.alice_factors, self.bob_factors)
         object.__setattr__(self, "observable", observable)
+        object.__setattr__(self, "ids", ids)
+
+    def _resigned(self, sign) -> "ExperimentTerm":
+        """This term with `sign`, which must be ±1, reusing the checked
+        observable and ids; the term itself when the sign is unchanged."""
+        if sign not in (+1, -1):
+            raise ValueError("sign must be ±1")
+        if sign == self.sign:
+            return self
+        term = object.__new__(ExperimentTerm)
+        term.__dict__.update(self.__dict__, sign=sign)
+        return term
 
     @property
     def factors(self) -> tuple:
@@ -49,11 +63,11 @@ class ExperimentTerm:
 
 
 @lru_cache(maxsize=256)
-def _checked_observable(alice_factors: tuple, bob_factors: tuple) -> PauliString:
-    """Product of a term's factors, after checking their Hermiticity,
-    support and pairwise commutation.  Both are done once per distinct
-    pair of factor tuples, so terms that differ only in sign skip the
-    checks and share one observable.  A failed check raises and is not
+def _checked_observable(alice_factors: tuple, bob_factors: tuple) -> tuple:
+    """(product, labels) of a term's factors, after checking their
+    Hermiticity, support and pairwise commutation.  Both are done once per
+    distinct pair of factor tuples, so terms that differ only in sign skip
+    the checks and share one observable.  A failed check raises and is not
     cached."""
     for f in alice_factors:
         if not (f.is_hermitian and f.supported_on(ALICE_QUBITS)):
@@ -66,7 +80,7 @@ def _checked_observable(alice_factors: tuple, bob_factors: tuple) -> PauliString
         for b in fs[i + 1:]:
             if not a.commutes(b):
                 raise ValueError(f"{a} and {b} do not commute")
-    return reduce(PauliString.multiply, fs)
+    return reduce(PauliString.multiply, fs), tuple(f.label for f in fs)
 
 
 def _term(sign, alice, bob, n=4):
@@ -108,12 +122,14 @@ class BellFunctional:
         return cls(nine_terms())
 
     def with_signs(self, signs) -> "BellFunctional":
-        """Same observables with replaced term signs (eigenfamily adaptation)."""
+        """Same observables with replaced term signs (eigenfamily
+        adaptation), one ±1 sign per term.  The factors were checked when
+        the terms were built, so they are not checked again."""
+        signs = tuple(signs)
+        if len(signs) != len(self.terms):
+            raise ValueError(f"{len(signs)} signs for {len(self.terms)} terms")
         return BellFunctional(
-            tuple(
-                ExperimentTerm(s, t.alice_factors, t.bob_factors)
-                for s, t in zip(signs, self.terms)
-            )
+            tuple(t._resigned(s) for s, t in zip(signs, self.terms))
         )
 
     def value(self, state: states.StateVector) -> float:

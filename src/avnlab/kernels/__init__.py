@@ -29,7 +29,9 @@ distinct column is evaluated once per chunk and weighted by its count, so
 every assignment is still counted exactly once, and its smallest offset
 gives the smallest witness.  The flips of many chunks are applied in one
 batched operation, in groups whose (chunks x max(k, 8) x columns)
-product stays within 2^16 entries.
+product stays within 2^16 entries.  When all 2^n_vars assignments fit in
+one chunk, as for every local bound, max-parity flips nothing and is one
+product of the signs with the cached columns.
 """
 
 import functools
@@ -157,16 +159,28 @@ def max_weighted_parity(masks, signs, n_vars):
         raise ValueError(f"signs must be integers, got {signs}") from None
     if sum(abs(sign) for sign in signs) > _MAX_WEIGHT:
         raise ValueError("signs' absolute values sum past 2^63 - 1")
+    total = sum(signs)
     signs = np.array(signs, dtype=np.int64)
     odd, first, _ = _first_block(masks, n_vars)
+    # The products below may wrap mod 2^64, but every true value lies
+    # within +-(2^63 - 1), so the wrapped result is exact.
+    if 1 << n_vars == _chunk_size(len(masks), n_vars):
+        # One chunk, which is the first: no row is flipped.  Sum of all
+        # terms minus twice the odd ones, per distinct column.
+        value = signs @ odd
+        value *= -2
+        value += total
+        # Columns are ordered by first offset, so the first maximum is
+        # the smallest attaining assignment.
+        j = int(value.argmax())
+        return int(value[j]), int(first[j])
     best = witness = None
     for starts, flip in _chunk_flips(masks, n_vars, len(first)):
         # A flipped row swaps odd and even, which negates that term.
         weights = np.where(flip, -signs, signs)
-        # Sum of all terms minus twice the odd ones.  The products may wrap
-        # mod 2^64, but every true value lies within +-(2^63 - 1), so the
-        # wrapped result is exact.  einsum casts odd to int64 in small
-        # buffers; a matmul would widen the whole block at once.
+        # Sum of all terms minus twice the odd ones.  einsum casts odd to
+        # int64 in small buffers; a matmul would widen the whole block at
+        # once.
         value = np.einsum("gk,kj->gj", weights * -2, odd)
         value += weights.sum(axis=1)[:, None]
         # Columns are ordered by first offset, so the first maximum in

@@ -80,16 +80,16 @@ def _checked_ids(ids: tuple) -> tuple:
 
 def term_ids(term) -> tuple:
     """Local observable ids referenced by one term's factors."""
-    return _checked_ids(tuple(f.label for f in term.factors))
+    return _checked_ids(term.ids)
 
 
 @lru_cache(maxsize=64)
-def _masks(term_labels: tuple) -> tuple:
-    """One mask per tuple of factor labels.  The masks do not depend on
-    the terms' signs, so sign-adapted functionals share one entry.  An
-    unknown id raises and is not cached."""
+def _masks(ids_per_term: tuple) -> tuple:
+    """One mask per term, keyed on the terms' stored ids.  The masks do
+    not depend on the terms' signs, so sign-adapted functionals share one
+    entry.  An unknown id raises and is not cached."""
     masks = []
-    for ids in term_labels:
+    for ids in ids_per_term:
         mask = 0
         for name in _checked_ids(ids):
             mask ^= 1 << _ID_INDEX[name]
@@ -99,9 +99,7 @@ def _masks(term_labels: tuple) -> tuple:
 
 def constraints_for(functional: BellFunctional) -> ParitySystem:
     """One parity constraint per term, with the term's sign as target."""
-    masks = _masks(
-        tuple(tuple(f.label for f in t.factors) for t in functional.terms)
-    )
+    masks = _masks(tuple(t.ids for t in functional.terms))
     parities = tuple(0 if t.sign == +1 else 1 for t in functional.terms)
     return ParitySystem(masks, parities, N_IDS)
 
@@ -146,7 +144,7 @@ def local_bound(functional: BellFunctional):
     with the smallest integer encoding in the canonical id order that
     attains the bound.
     """
-    masks = constraints_for(functional).masks
+    masks = _masks(tuple(t.ids for t in functional.terms))
     signs = [t.sign for t in functional.terms]
     bound, witness = kernels.max_weighted_parity(masks, signs, N_IDS)
     return bound, assignment_from_int(witness)
@@ -194,12 +192,19 @@ def visibility_threshold(functional: BellFunctional, quantum_value: float) -> Fr
     Werner-type mixing with the maximally mixed state multiplies every
     term's correlation by the visibility V, because every term observable
     is traceless; the functional then exceeds the local bound exactly when
-    V > L/Q.
+    V > L/Q.  Q is rounded to a fraction with denominator at most 10^6; a
+    non-finite Q raises ValueError and one that rounds to 0 raises
+    ZeroDivisionError.
     """
+    try:
+        quantum_value = Fraction(quantum_value).limit_denominator(10**6)
+    except (OverflowError, ValueError):
+        # Fraction raises these for infinities and NaN.
+        raise ValueError(f"quantum value {quantum_value} is not finite") from None
     if quantum_value == 0:
         raise ZeroDivisionError("quantum value is zero")
     bound, _ = local_bound(functional)
-    return Fraction(bound) / Fraction(quantum_value).limit_denominator(10**6)
+    return Fraction(bound) / quantum_value
 
 
 def certificate() -> dict:

@@ -187,9 +187,9 @@ def images(ops, state: StateVector) -> np.ndarray:
     rows = factors * amps[targets]
     norms = np.square(rows.view(float)).sum(axis=1)
     # Written so that a NaN norm fails too.
-    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)
-    if bad.any():
-        raise ValueError(f"state not normalized: |amps|^2 = {norms[bad][0]}")
+    ok = np.abs(norms - 1.0) <= NORM_TOL
+    if not ok.all():
+        raise ValueError(f"state not normalized: |amps|^2 = {norms[~ok][0]}")
     return rows
 
 
@@ -234,9 +234,10 @@ def eigensigns(ops, state: StateVector, tol: float = NORM_TOL) -> list:
     """For each op of a family: +1 or -1 if state is an eigenstate of op
     at that sign, else None."""
     rows = images(ops, state)
-    # Both signs in one comparison: axis 0 is +1, then -1.
-    targets = np.array([+1, -1])[:, None, None] * state.amplitudes
-    plus, minus = np.all(np.abs(rows - targets) <= tol, axis=2)
+    amps = state.amplitudes
+    # One comparison per sign over the whole family; a NaN matches neither.
+    plus = (np.abs(rows - amps) <= tol).all(axis=1).tolist()
+    minus = (np.abs(rows + amps) <= tol).all(axis=1).tolist()
     return [+1 if p else -1 if m else None for p, m in zip(plus, minus)]
 
 

@@ -124,6 +124,18 @@ class TestAll:
         assert path.read_bytes() == (GOLDEN / "all_seed0.txt").read_bytes()
 
 
+class TestSubcommandBytes:
+    # Written by `avnlab COMMAND [--json] --out FILE`.  These reports do not
+    # depend on the seed or on numpy's generator, so any change to their
+    # bytes is a change of output.
+    @pytest.mark.parametrize("command", ["verify", "lhv", "ks"])
+    @pytest.mark.parametrize("suffix, options", [("json", ["--json"]), ("txt", [])])
+    def test_report_matches_golden_bytes(self, command, suffix, options, tmp_path):
+        path = tmp_path / f"{command}.{suffix}"
+        assert cli.main([command, *options, "--out", str(path)]) == 0
+        assert path.read_bytes() == (GOLDEN / f"{command}.{suffix}").read_bytes()
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_64(self):
         with pytest.raises(SystemExit) as exc:
@@ -189,6 +201,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit):
             cli.main(["simulate", "--shots", "0"])
         assert len(calls) == 2
+
+    def test_two_calls_share_one_parser_and_no_options(self, capsys, monkeypatch):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        seen = []
+        parse_args = parser.parse_args
+        monkeypatch.setattr(
+            parser, "parse_args", lambda argv: seen.append(argv) or parse_args(argv)
+        )
+        code, out = run(["verify", "--json"], capsys)
+        assert code == 0 and json.loads(out)["all_ok"] is True
+        code, out = run(["verify"], capsys)
+        assert code == 0 and out.startswith("[verify]\n")
+        assert seen == [["verify", "--json"], ["verify"]]
 
     def test_every_shot_lost_exits_64(self, capsys):
         with pytest.raises(SystemExit) as exc:

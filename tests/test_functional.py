@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avnlab.functional import (
     EXPECTED_SIGNS,
@@ -149,3 +151,35 @@ class TestWithSigns:
         value = flipped.value(psi)
         # each term expectation equals its canonical sign
         assert value == pytest.approx(sum(EXPECTED_SIGNS), abs=1e-12)
+
+    @pytest.mark.parametrize("n_signs", [0, 2, 8, 10, 12])
+    def test_one_sign_per_term(self, n_signs):
+        with pytest.raises(ValueError, match=f"{n_signs} signs for 9 terms"):
+            BellFunctional.canonical().with_signs([1] * n_signs)
+
+    @pytest.mark.parametrize("bad", [0, 2, -2, 0.5, None])
+    def test_signs_must_be_plus_or_minus_one(self, bad):
+        signs = list(EXPECTED_SIGNS)
+        signs[4] = bad
+        with pytest.raises(ValueError, match="±1"):
+            BellFunctional.canonical().with_signs(signs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from([+1, -1]), min_size=9, max_size=9))
+    def test_matches_freshly_built_terms(self, signs):
+        canonical = BellFunctional.canonical()
+        adapted = canonical.with_signs(signs)
+        fresh = tuple(
+            ExperimentTerm(s, t.alice_factors, t.bob_factors)
+            for s, t in zip(signs, canonical.terms)
+        )
+        assert adapted.terms == fresh
+        assert [hash(t) for t in adapted.terms] == [hash(t) for t in fresh]
+        for term, new, base in zip(adapted.terms, fresh, canonical.terms):
+            assert term.sign == new.sign
+            # The adapted term shares the base term's checked observable.
+            assert term.observable is base.observable
+            assert term.observable == new.observable
+            assert term.ids == new.ids == tuple(f.label for f in base.factors)
+            # A term whose sign is unchanged is the base term itself.
+            assert (term is base) == (term.sign == base.sign)

@@ -32,6 +32,21 @@ def systems(draw, max_vars=16, max_constraints=6, min_vars=0):
     return masks, parities, signs, n_vars
 
 
+@st.composite
+def one_chunk_systems(draw):
+    """(masks, signs, n_vars) whose 2^n_vars assignments fit in one chunk,
+    with weights in [-3, 3] and up to two of magnitude near 2^62."""
+    n_vars = draw(st.integers(0, 12))
+    max_constraints = 64 if n_vars <= 10 else 1 << (16 - n_vars)
+    masks = draw(st.lists(st.integers(0, (1 << n_vars) - 1), max_size=max_constraints))
+    k = len(masks)
+    signs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=2)) if k else ():
+        magnitude = draw(st.integers(2**62 - 2**10, 2**62 - 2**8))
+        signs[i] = draw(st.sampled_from([1, -1])) * magnitude
+    return masks, signs, n_vars
+
+
 class TestPureKernels:
     """Small cases whose answers are known without the oracle."""
 
@@ -125,6 +140,27 @@ class TestBackendAgreement:
         assert kernels.max_weighted_parity(
             masks, signs, n_vars
         ) == oracle.max_weighted_parity(masks, signs, n_vars)
+
+    # When every assignment fits in one chunk, as for the 12-variable local
+    # bounds, max-parity is one product over the cached columns.  Weights
+    # near +-2^62 wrap int64 in the middle of it, and small or repeated
+    # weights make ties that the smallest witness must break.
+    @settings(max_examples=80, deadline=None)
+    @given(one_chunk_systems())
+    @example(([0b011, 0b110], [-(2**62 - 2**9)] * 2, 3))
+    @example(([1, 2, 3], [2**62 - 2**9, -(2**62 - 2**9), 5], 2))
+    # Distinct columns that tie: x = 1, 2, 3 in the first, x = 2 and 6
+    # in the second.
+    @example(([1, 2, 3], [-1, -1, -1], 2))
+    @example(([1, 2, 4], [2**62 - 2**9, -(2**62 - 2**9), 0], 3))
+    @example(([0, 0], [1, -1], 12))
+    @example(([], [], 0))
+    def test_one_chunk_matches_oracle(self, system):
+        masks, signs, n_vars = system
+        assert 1 << n_vars == kernels._chunk_size(len(masks), n_vars)
+        result = kernels.max_weighted_parity(masks, signs, n_vars)
+        assert result == oracle.max_weighted_parity(masks, signs, n_vars)
+        assert all(type(v) is int for v in result)
 
     # The chunk shrinks as constraints are added (2^14, 2^12 and 2^10
     # assignments at k = 1, 9 and 64), so padding with zero-weight

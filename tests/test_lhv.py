@@ -2,13 +2,17 @@
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from avnlab import lhv
-from avnlab.functional import BellFunctional, nine_terms
+import kernel_oracle as oracle
+from avnlab import ks, lhv
+from avnlab.functional import BellFunctional, nine_terms, verify_nine_identities
 from avnlab.pauli import parse
 from avnlab.states import build_psi
 
@@ -93,6 +97,18 @@ class TestConstraintSystem:
         assert systems[0].masks is systems[1].masks
         assert systems[1].parities == tuple(1 - p for p in systems[0].parities)
         assert info.maxsize is not None
+
+
+class TestSweepBounds:
+    @pytest.mark.parametrize("pair13", ["phi+", "phi-", "psi+", "psi-"])
+    @pytest.mark.parametrize("pair24", ["phi+", "phi-", "psi+", "psi-"])
+    def test_sweep_functional_matches_oracle(self, pair13, pair24):
+        signs = verify_nine_identities(ks.two_pair_state(pair13, pair24))
+        adapted = BellFunctional.canonical().with_signs(signs)
+        masks = lhv.constraints_for(adapted).masks
+        bound, witness = oracle.max_weighted_parity(masks, signs, lhv.N_IDS)
+        assert lhv.local_bound(adapted) == (bound, lhv.assignment_from_int(witness))
+        assert bound == brute_force_bound(adapted) == 7
 
 
 class TestCheckAssignment:
@@ -263,6 +279,38 @@ class TestVisibilityThreshold:
     def test_rejects_zero_quantum_value(self):
         with pytest.raises(ZeroDivisionError):
             lhv.visibility_threshold(BellFunctional.canonical(), 0)
+
+    @pytest.mark.parametrize("quantum_value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_quantum_value(self, quantum_value):
+        with pytest.raises(ValueError, match="not finite"):
+            lhv.visibility_threshold(BellFunctional.canonical(), quantum_value)
+
+    def test_huge_integer_quantum_value(self):
+        threshold = lhv.visibility_threshold(BellFunctional.canonical(), 10**400)
+        assert threshold == Fraction(7, 10**400)
+
+    def test_quantum_value_that_rounds_to_zero(self):
+        with pytest.raises(ZeroDivisionError, match="^quantum value is zero$"):
+            lhv.visibility_threshold(BellFunctional.canonical(), 1e-300)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats())
+    @example(1e-300)
+    @example(5e-7)
+    @example(-0.0)
+    @example(1e308)
+    def test_any_float_gives_a_fraction_or_a_documented_error(self, quantum_value):
+        try:
+            threshold = lhv.visibility_threshold(
+                BellFunctional.canonical(), quantum_value
+            )
+        except ValueError as exc:
+            assert "not finite" in str(exc)
+            assert not math.isfinite(quantum_value)
+        except ZeroDivisionError as exc:
+            assert str(exc) == "quantum value is zero"
+        else:
+            assert type(threshold) is Fraction
 
     def test_every_term_observable_is_traceless(self):
         for t in nine_terms():

@@ -174,6 +174,10 @@ class TestEqualUpToPhase:
         assert eigensign(parse("z1z3", 4), psi) == -1
         assert eigensign(parse("z1", 4), psi) is None
 
+    def test_nan_tolerance_matches_neither_sign(self, psi):
+        assert eigensign(parse("z1z3", 4), psi, tol=np.nan) is None
+        assert type(eigensign(parse("z1z3", 4), psi)) is int
+
 
 class TestBornProbabilities:
     def test_nan_table_raises(self):
