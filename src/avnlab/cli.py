@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import ks, lhv, simulate
 from .functional import (
@@ -36,6 +36,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+#: The two operator identities behind the nine: (a, b, a·b) on each side.
+_OPERATOR_IDENTITIES = tuple(
+    tuple(parse(text, 4) for text in identity)
+    for identity in (("z1z2", "x1x2", "-y1y2"), ("z3x4", "x3z4", "y3y4"))
+)
+
+
 def run_verify(state=None) -> dict:
     """Exact checks of the state-side claims; `state` is injectable for
     negative-control tests."""
@@ -53,14 +60,15 @@ def run_verify(state=None) -> dict:
         failures.append("operator sum does not map the state to 9x itself")
 
     identity_checks = []
-    for lhs_a, lhs_b, rhs in (("z1z2", "x1x2", "-y1y2"), ("z3x4", "x3z4", "y3y4")):
-        product = parse(lhs_a, 4) * parse(lhs_b, 4)
-        ok = product == parse(rhs, 4)
+    for lhs_a, lhs_b, rhs in _OPERATOR_IDENTITIES:
+        product = lhs_a * lhs_b
+        ok = product == rhs
+        lhs = f"{lhs_a.label}·{lhs_b.label}"
         identity_checks.append(
-            {"lhs": f"{lhs_a}·{lhs_b}", "rhs": rhs, "product": product.label, "ok": ok}
+            {"lhs": lhs, "rhs": rhs.label, "product": product.label, "ok": ok}
         )
         if not ok:
-            failures.append(f"operator identity {lhs_a}·{lhs_b} != {rhs}")
+            failures.append(f"operator identity {lhs} != {rhs.label}")
 
     return {
         "signs": signs,
@@ -100,22 +108,146 @@ def run_simulate(shots, seed, visibility, efficiency) -> dict:
 
 
 def _emit(report, args) -> bool:
-    """Write the report to --out or stdout; False, with a one-line
-    message, when the --out file cannot be written."""
+    """Write the report, UTF-8 encoded whatever the locale, to --out or
+    stdout; False, with a one-line message, when the --out file cannot be
+    written."""
     if args.json:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _json_text(report)
     else:
         text = _render_text(report, args.command)
+    data = text.encode("utf-8")
     if args.out is None:
-        sys.stdout.write(text)
+        stdout = sys.stdout
+        if hasattr(stdout, "buffer"):
+            stdout.flush()
+            stdout.buffer.write(data)
+        else:  # a text-only stream such as io.StringIO
+            stdout.write(text)
         return True
     try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        with open(args.out, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         sys.stderr.write(f"error: cannot write {args.out}: {exc.strerror or exc}\n")
         return False
     return True
+
+
+# -- JSON --------------------------------------------------------------------
+#
+# `json.dumps(report, indent=2, sort_keys=True)` always takes json's
+# pure-Python generator encoder when `indent` is set, which costs about
+# twice this one: a walk that appends to one list, joined once.  The
+# output is the same string, for every value json accepts.
+
+_INFINITY = float("inf")
+
+
+def _float_text(value) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+#: Encoders of the scalar types, looked up by exact type; a subclass (a
+#: numpy float, say) takes the isinstance checks of `_scalar_text`.
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _scalar_text(value) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        return _quote(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _quote(int.__repr__(key))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
+def _encode(value, newline, parts):
+    """Append the encoding of `value`, whose lines after the first start
+    with `newline`, to `parts`.  Values are trees: a container holding
+    itself recurses without end."""
+    append, scalars = parts.append, _SCALARS
+    if isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        separator = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            append(separator)
+            separator = comma
+            append(_quote(key) if type(key) is str else _key_text(key))
+            text = scalars.get(type(item))
+            if text is not None:
+                append(": " + text(item))
+            else:
+                append(": ")
+                _encode(item, inner, parts)
+        append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        separator = "[" + inner
+        for item in value:
+            append(separator)
+            separator = comma
+            text = scalars.get(type(item))
+            if text is not None:
+                append(text(item))
+            else:
+                _encode(item, inner, parts)
+        append(newline + "]")
+    else:
+        append(_scalar_text(value))
+
+
+def _json_text(report) -> str:
+    """`json.dumps(report, indent=2, sort_keys=True)` plus a newline."""
+    parts = []
+    _encode(report, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _render_text(report, command) -> str:

@@ -132,20 +132,28 @@ class BellFunctional:
             tuple(t._resigned(s) for s, t in zip(signs, self.terms))
         )
 
-    def value(self, state: states.StateVector) -> float:
-        """Sum of sign-weighted expectations of the flattened observables."""
-        values = states.expectations([t.observable for t in self.terms], state)
-        return sum(t.sign * v for t, v in zip(self.terms, values))
+    def value(self, state: states.StateVector, rows=None) -> float:
+        """Sum of sign-weighted expectations of the flattened observables;
+        `rows`, when given, are their images of `state` from
+        `states.images`."""
+        terms = self.terms
+        values = states.expectations([t.observable for t in terms], state, rows)
+        return sum(t.sign * v for t, v in zip(terms, values))
 
 
-def verify_nine_identities(state: states.StateVector, tol: float = states.NORM_TOL):
+def verify_nine_identities(
+    state: states.StateVector, tol: float = states.NORM_TOL, rows=None
+):
     """Eigenvalue sign of each term observable on `state`.
 
     Returns a list of nine entries, each +1, -1 or None when the state is
     not an eigenstate of that observable (a legal outcome for general
-    states).
+    states).  `rows`, when given, are the observables' images of `state`
+    from `states.images`.
     """
-    return states.eigensigns([t.observable for t in nine_terms()], state, tol)
+    return states.eigensigns(
+        [t.observable for t in nine_terms()], state, tol, rows
+    )
 
 
 def bell_functional_value(state: states.StateVector) -> float:

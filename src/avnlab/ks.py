@@ -88,9 +88,11 @@ CANONICAL_TABLE = KsTable(
 )
 
 
-def verify_table_structure(table: KsTable) -> dict:
-    """Commutativity and exact line products, phase included."""
-    lines = []
+@functools.lru_cache(maxsize=8)
+def _line_checks(table: KsTable) -> tuple:
+    """(line, operator labels, commuting, product label, target, ok) for
+    each line; checked once per table, since tables are immutable."""
+    checks = []
     for kind, index, ops, target in table.lines():
         commuting = all(
             a.commutes(b) for i, a in enumerate(ops) for b in ops[i + 1:]
@@ -103,22 +105,39 @@ def verify_table_structure(table: KsTable) -> dict:
             and product.z_mask == 0
             and product.sign == target
         )
-        lines.append(
-            {
-                "line": f"{kind} {index + 1}",
-                "operators": [op.label for op in ops],
-                "commuting": commuting,
-                "product": product.label,
-                "target": "+I" if target == +1 else "-I",
-                "ok": commuting and is_target_identity,
-            }
-        )
+        checks.append((
+            f"{kind} {index + 1}",
+            tuple(op.label for op in ops),
+            commuting,
+            product.label,
+            "+I" if target == +1 else "-I",
+            commuting and is_target_identity,
+        ))
+    return tuple(checks)
+
+
+def verify_table_structure(table: KsTable) -> dict:
+    """Commutativity and exact line products, phase included.  The checks
+    run once per table; every call returns fresh dicts and lists."""
+    lines = [
+        {
+            "line": line,
+            "operators": list(operators),
+            "commuting": commuting,
+            "product": product,
+            "target": target,
+            "ok": ok,
+        }
+        for line, operators, commuting, product, target, ok in _line_checks(table)
+    ]
     return {"lines": lines, "all_ok": all(line["ok"] for line in lines)}
 
 
+@functools.lru_cache(maxsize=8)
 def parity_system(table: KsTable) -> lhv.ParitySystem:
     """One parity constraint per line, over the populated cells numbered in
-    (row, column) scan order."""
+    (row, column) scan order; built once per table, since tables and
+    parity systems are immutable."""
     index = {(r, c): i for i, (r, c, _) in enumerate(table.cells())}
     masks, parities = [], []
     for kind, line, _, target in table.lines():
@@ -201,20 +220,24 @@ def eigenfamily_sweep() -> list:
     and the sign-adapted functional keeps quantum value 9 against local
     bound 7.
     """
+    canonical = BellFunctional.canonical()
+    observables = [t.observable for t in canonical.terms]
     records = []
     for pair13 in ("phi+", "phi-", "psi+", "psi-"):
         for pair24 in ("phi+", "phi-", "psi+", "psi-"):
             state = two_pair_state(pair13, pair24)
-            signs = verify_nine_identities(state)
-            if any(s is None for s in signs):
+            # One gather of the nine images gives the signs and the value.
+            rows = states.images(observables, state)
+            signs = verify_nine_identities(state, rows=rows)
+            if None in signs:
                 raise AssertionError(
                     f"{pair13} x {pair24} is not a joint eigenstate of all terms"
                 )
             product = 1
             for s in signs:
                 product *= s
-            adapted = BellFunctional.canonical().with_signs(signs)
-            quantum_value = adapted.value(state)
+            adapted = canonical.with_signs(signs)
+            quantum_value = adapted.value(state, rows=rows)
             bound, _ = lhv.local_bound(adapted)
             _, z13, x13 = _PAIR_STATES[pair13]
             _, z24, x24 = _PAIR_STATES[pair24]
@@ -228,7 +251,7 @@ def eigenfamily_sweep() -> list:
                         "x1x3": x13,
                         "x2x4": x24,
                     },
-                    "signs": list(signs),
+                    "signs": signs,
                     "sign_product": product,
                     "quantum_value": quantum_value,
                     "local_bound": bound,

@@ -174,36 +174,36 @@ def _stacked_action(keys: tuple):
 def images(ops, state: StateVector) -> np.ndarray:
     """Rows op|state> for each op of a family, each checked like a
     StateVector built by `apply`."""
-    ops = list(ops)
-    amps = state.amplitudes
-    for op in ops:
-        if op.n_qubits != state.n_qubits:
+    n_qubits = state.n_qubits
+    keys = tuple((op.n_qubits, op.x_mask, op.z_mask, op.phase_power) for op in ops)
+    for key in keys:
+        if key[0] != n_qubits:
             raise ValueError("qubit count mismatch")
-    if not ops:
-        return np.empty((0, len(amps)), dtype=complex)
-    targets, factors = _stacked_action(
-        tuple((op.n_qubits, op.x_mask, op.z_mask, op.phase_power) for op in ops)
-    )
-    rows = factors * amps[targets]
-    norms = np.square(rows.view(float)).sum(axis=1)
-    # Written so that a NaN norm fails too.
-    ok = np.abs(norms - 1.0) <= NORM_TOL
-    if not ok.all():
-        raise ValueError(f"state not normalized: |amps|^2 = {norms[~ok][0]}")
+    if not keys:
+        return np.empty((0, 1 << n_qubits), dtype=complex)
+    targets, factors = _stacked_action(keys)
+    rows = factors * state.amplitudes[targets]
+    for norm in np.square(rows.view(float)).sum(axis=1).tolist():
+        # Written so that a NaN norm fails too.
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise ValueError(f"state not normalized: |amps|^2 = {norm}")
     return rows
 
 
-def expectations(ops, state: StateVector) -> list:
+def expectations(ops, state: StateVector, rows=None) -> list:
     """<state|op|state> for each op of a family, each asserted real to
-    within 1e-12."""
+    within 1e-12; `rows`, when given, are `images(ops, state)`."""
     ops = list(ops)
     for op in ops:
         if not op.is_hermitian:
             raise ValueError(f"{op} is not Hermitian")
+    if rows is None:
+        rows = images(ops, state)
+    amps = state.amplitudes
     values = []
-    for row in images(ops, state):
+    for row in rows:
         # One vdot per row: a single matmul would round differently.
-        value = complex(np.vdot(state.amplitudes, row))
+        value = complex(np.vdot(amps, row))
         if not abs(value.imag) <= NORM_TOL:
             raise AssertionError(f"expectation has imaginary part {value.imag}")
         values.append(value.real)
@@ -230,15 +230,21 @@ def equal_up_to_phase(a: StateVector, b: StateVector, tol: float = NORM_TOL) -> 
     )
 
 
-def eigensigns(ops, state: StateVector, tol: float = NORM_TOL) -> list:
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
+
+
+def eigensigns(ops, state: StateVector, tol: float = NORM_TOL, rows=None) -> list:
     """For each op of a family: +1 or -1 if state is an eigenstate of op
-    at that sign, else None."""
-    rows = images(ops, state)
-    amps = state.amplitudes
-    # One comparison per sign over the whole family; a NaN matches neither.
-    plus = (np.abs(rows - amps) <= tol).all(axis=1).tolist()
-    minus = (np.abs(rows + amps) <= tol).all(axis=1).tolist()
-    return [+1 if p else -1 if m else None for p, m in zip(plus, minus)]
+    at that sign, else None; `rows`, when given, are `images(ops, state)`."""
+    if rows is None:
+        rows = images(ops, state)
+    # Each row's largest distance from +state and from -state, in one
+    # pass over the family; a NaN distance is within tol of neither.
+    distances = np.abs(rows[:, None, :] - _PLUS_MINUS * state.amplitudes).max(axis=2)
+    return [
+        +1 if plus <= tol else -1 if minus <= tol else None
+        for plus, minus in distances.tolist()
+    ]
 
 
 def eigensign(op: PauliString, state: StateVector, tol: float = NORM_TOL):

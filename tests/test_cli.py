@@ -1,10 +1,20 @@
 """CLI contract: subcommands, exit codes, deterministic JSON reports."""
 
+import contextlib
+import enum
+import io
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avnlab import cli
 from avnlab.states import StateVector, build_psi
@@ -235,3 +245,134 @@ class TestOutputErrors:
         assert captured.err == (
             f"error: cannot write {path}: No such file or directory\n"
         )
+
+
+class TestTextEncoding:
+    # Text reports hold "·" and "±".  Under the C locale Python's stdout
+    # and text files default to ASCII, so the CLI must encode them itself.
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [(["verify"], "verify.txt"), (["all", "--seed", "0"], "all_seed0.txt")],
+        ids=["verify", "all"],
+    )
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_text_report_is_utf8_under_the_c_locale(self, argv, golden, to_file, tmp_path):
+        path = str(Path(cli.__file__).resolve().parents[1])
+        if os.environ.get("PYTHONPATH"):
+            path += os.pathsep + os.environ["PYTHONPATH"]
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONUTF8": "0", "PYTHONPATH": path}
+        env.pop("PYTHONIOENCODING", None)
+        out = tmp_path / "report.txt"
+        if to_file:
+            argv = [*argv, "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "avnlab.cli", *argv],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert proc.stderr == b""
+        written = out.read_bytes() if to_file else proc.stdout
+        assert written == (GOLDEN / golden).read_bytes()
+
+    def test_text_only_stdout_gets_the_text(self):
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            assert cli.main(["verify"]) == 0
+        assert stream.getvalue().encode("utf-8") == (GOLDEN / "verify.txt").read_bytes()
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+_FLOATS = (
+    st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+    | st.floats().map(np.float64)
+)
+_TEXT = st.text(st.characters(exclude_categories=()))  # lone surrogates too
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _FLOATS | _TEXT
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(_TEXT, children)
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonEncoder:
+    """`cli._json_text` against `json.dumps(indent=2, sort_keys=True)`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_VALUES)
+    @example({"": [], "\x00\ud800é": {}, "b": ((), [[]], {"a": -0.0})})
+    def test_same_text_as_json(self, value):
+        assert cli._json_text(value) == _dumps(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1: "a", -2: "b"}, {1.5: 0, math.nan: 1, -math.inf: 2}, {True: 1},
+         {None: [1, 2]}, {2**70: {}}, {np.float64(0.25): None}],
+    )
+    def test_non_string_keys_as_json(self, value):
+        assert cli._json_text(value) == _dumps(value)
+
+    def test_scalar_subclasses_as_json(self):
+        class Label(str):
+            pass
+
+        sign = enum.IntEnum("Sign", {"MINUS": -1, "PLUS": 1})
+        value = [{Label("k"): [sign.PLUS, Label("é"), np.float64(-0.5), sign.MINUS]},
+                 {sign.PLUS: np.float64("nan"), sign.MINUS: None}]
+        assert cli._json_text(value) == _dumps(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _VALUES,
+        st.sampled_from([set(), {1}, np.int64(3), np.bool_(True), b"ab", object()]),
+        st.booleans(),
+    )
+    def test_rejects_what_json_rejects(self, value, bad, as_key):
+        tree = {"value": value, "bad": [bad]}
+        if as_key and not isinstance(bad, set):  # a set cannot be a key
+            tree["bad"] = {bad: 1}
+        with pytest.raises(TypeError):
+            _dumps(tree)
+        with pytest.raises(TypeError):
+            cli._json_text(tree)
+
+    @pytest.mark.parametrize("value", [{1: 0, "a": 0}, {(1, 2): 0}])
+    def test_rejects_keys_json_rejects(self, value):
+        with pytest.raises(TypeError):
+            _dumps(value)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        visibility=st.floats(0.0, 1.0),
+        efficiency=st.floats(0.7, 1.0),
+        shots=st.integers(200, 3000),
+    )
+    def test_all_reports_encode_as_json(self, seed, visibility, efficiency, shots):
+        reports = []
+        encode = cli._json_text
+
+        def recording(report):
+            reports.append(report)
+            return encode(report)
+
+        argv = ["all", "--json", "--out", os.devnull, "--seed", str(seed),
+                "--shots", str(shots), "--visibility", repr(visibility),
+                "--efficiency", repr(efficiency)]
+        with mock.patch.object(cli, "_json_text", recording):
+            assert cli.main(argv) == 0
+        (report,) = reports
+        assert encode(report) == _dumps(report)

@@ -183,7 +183,9 @@ class TestStackedFamilies:
     @example((NINE + NINE[:3], ks.two_pair_state("phi-", "psi+")))
     def test_eigensigns_match_per_op_code(self, case):
         ops, state = case
-        assert states.eigensigns(ops, state) == [per_op_eigensign(op, state) for op in ops]
+        want = [per_op_eigensign(op, state) for op in ops]
+        assert states.eigensigns(ops, state) == want
+        assert states.eigensigns(ops, state, rows=states.images(ops, state)) == want
 
     @settings(max_examples=150, deadline=None)
     @given(families())
@@ -195,6 +197,8 @@ class TestStackedFamilies:
         got = [value.hex() for value in states.expectations(ops, state)]
         assert got == [per_op_expectation(op, state).hex() for op in ops]
         assert got == [states.expectation(op, state).hex() for op in ops]
+        rows = states.images(ops, state)
+        assert [value.hex() for value in states.expectations(ops, state, rows)] == got
 
     @settings(max_examples=50, deadline=None)
     @given(families())

@@ -1,6 +1,9 @@
 """The 17-operator noncontextuality proof and the eigenstate-family sweep."""
 
+import copy
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +156,24 @@ class TestContradiction:
         assert calls == [table]
         assert report["contradiction"] == ks.prove_ks_contradiction(table)
 
+    def test_checks_run_once_per_table(self, table):
+        ks._line_checks.cache_clear()
+        ks.parity_system.cache_clear()
+        for _ in range(3):
+            ks.certificate()
+        assert ks._line_checks.cache_info().misses == 1
+        assert ks.parity_system.cache_info().misses == 1
+        assert ks.parity_system(table) is ks.parity_system(table)
+
+    def test_mutating_a_certificate_leaves_the_next_unchanged(self):
+        golden = json.loads((Path(__file__).parent / "golden" / "ks.json").read_text())
+        before = copy.deepcopy(ks.certificate())
+        assert before["structure"] == golden["structure"]
+        _scribble(ks.certificate())
+        assert ks.certificate() == before
+        _scribble(ks.verify_table_structure(ks.CANONICAL_TABLE))
+        assert ks.verify_table_structure(ks.CANONICAL_TABLE) == before["structure"]
+
     def test_structure_failure_raises(self, table):
         grid = list(map(list, table.grid))
         grid[0][4] = PauliString.identity(4)
@@ -161,6 +182,18 @@ class TestContradiction:
         )
         with pytest.raises(ValueError):
             ks.prove_ks_contradiction(mutated)
+
+
+def _scribble(value):
+    """Change every list and dict inside `value`, in place."""
+    if isinstance(value, dict):
+        for item in value.values():
+            _scribble(item)
+        value["scribbled"] = True
+    elif isinstance(value, list):
+        for item in value:
+            _scribble(item)
+        value.append("scribbled")
 
 
 PAIRS = ("phi+", "phi-", "psi+", "psi-")
@@ -216,6 +249,21 @@ class TestEigenfamilySweep:
     def test_all_signs_definite(self, sweep):
         for r in sweep:
             assert all(s in (+1, -1) for s in r["signs"])
+
+    def test_one_gather_per_state(self, monkeypatch):
+        gathered, verified = [], []
+        images, verify = ks.states.images, ks.verify_nine_identities
+        monkeypatch.setattr(
+            ks.states, "images",
+            lambda ops, state: gathered.append(state) or images(ops, state),
+        )
+        monkeypatch.setattr(
+            ks, "verify_nine_identities",
+            lambda state, **kw: verified.append(state) or verify(state, **kw),
+        )
+        ks.eigenfamily_sweep()
+        assert len(gathered) == len(set(map(id, gathered))) == 16
+        assert list(map(id, verified)) == list(map(id, gathered))
 
     def test_adapted_functionals_keep_nine_versus_seven(self, sweep):
         for r in sweep:
