@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import ks, lhv, simulate
 from .functional import (
     EXPECTED_SIGNS,
+    LOCAL_BOUND,
     operator_o_check,
     verify_nine_identities,
 )
@@ -73,7 +75,7 @@ def run_verify(state=None) -> dict:
     return {
         "signs": signs,
         "expected_signs": list(EXPECTED_SIGNS),
-        "sign_product": None if any(s is None for s in signs) else _prod(signs),
+        "sign_product": None if any(s is None for s in signs) else math.prod(signs),
         "eigenvalue_nine": eigen_ok,
         "operator_identities": identity_checks,
         "failures": failures,
@@ -81,17 +83,10 @@ def run_verify(state=None) -> dict:
     }
 
 
-def _prod(values):
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
 def run_lhv() -> dict:
     report = lhv.certificate()
     report["all_ok"] = (
-        report["local_bound"] == 7 and report["satisfying_count"] == 0
+        report["local_bound"] == LOCAL_BOUND and report["satisfying_count"] == 0
     )
     return report
 

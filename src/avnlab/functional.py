@@ -20,6 +20,10 @@ BOB_QUBITS = (3, 4)
 #: Right-hand-side eigenvalues of the nine identities on the double singlet.
 EXPECTED_SIGNS = (-1, -1, -1, -1, +1, +1, +1, +1, -1)
 
+#: The functional's local (LHV) bound and its value on the double singlet.
+LOCAL_BOUND = 7
+QUANTUM_VALUE = 9
+
 
 @dataclass(frozen=True)
 class ExperimentTerm:
@@ -167,4 +171,4 @@ def operator_o_check(state: states.StateVector, tol: float = states.NORM_TOL) ->
     terms = nine_terms()
     rows = states.images([t.observable for t in terms], state)
     total = sum(t.sign * row for t, row in zip(terms, rows))
-    return bool(np.all(np.abs(total - 9.0 * state.amplitudes) <= tol))
+    return bool(np.all(np.abs(total - QUANTUM_VALUE * state.amplitudes) <= tol))

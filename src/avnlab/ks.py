@@ -14,13 +14,14 @@ agree.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import lhv, states
-from .functional import BellFunctional, verify_nine_identities
-from .pauli import PauliString, parse
+from .functional import (
+    LOCAL_BOUND, QUANTUM_VALUE, BellFunctional, verify_nine_identities,
+)
+from .pauli import parse
 
 _CANONICAL_CELLS = (
     ("z1z3", "z2z4", "x1x3", "x2x4", "y1y2y3y4"),
@@ -200,16 +201,13 @@ def two_pair_state(pair13: str, pair24: str) -> states.StateVector:
     """4-qubit state with a Bell state on qubits (1,3) and one on (2,4);
     each of the 16 is built on first use and kept, since states are
     immutable."""
-    s13 = _PAIR_STATES[pair13][0].amplitudes
-    s24 = _PAIR_STATES[pair24][0].amplitudes
-    amps = np.zeros(16, dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    # q1=a, q3=b carry the (1,3) pair; q2=c, q4=d the (2,4) pair
-                    amps[a << 3 | c << 2 | b << 1 | d] = s13[a << 1 | b] * s24[c << 1 | d]
-    return states.StateVector(4, amps)
+    try:
+        s13, s24 = (_PAIR_STATES[pair][0].amplitudes for pair in (pair13, pair24))
+    except KeyError as exc:
+        raise ValueError(f"unknown Bell pair {exc.args[0]!r}") from None
+    # Axes (q1, q2, q3, q4): the (1,3) pair on axes 0 and 2, (2,4) on 1 and 3.
+    amps = s13.reshape(2, 1, 2, 1) * s24.reshape(1, 2, 1, 2)
+    return states.StateVector(4, amps.reshape(16))
 
 
 def eigenfamily_sweep() -> list:
@@ -233,9 +231,6 @@ def eigenfamily_sweep() -> list:
                 raise AssertionError(
                     f"{pair13} x {pair24} is not a joint eigenstate of all terms"
                 )
-            product = 1
-            for s in signs:
-                product *= s
             adapted = canonical.with_signs(signs)
             quantum_value = adapted.value(state, rows=rows)
             bound, _ = lhv.local_bound(adapted)
@@ -252,7 +247,7 @@ def eigenfamily_sweep() -> list:
                         "x2x4": x24,
                     },
                     "signs": signs,
-                    "sign_product": product,
+                    "sign_product": math.prod(signs),
                     "quantum_value": quantum_value,
                     "local_bound": bound,
                 }
@@ -277,7 +272,7 @@ def certificate() -> dict:
             structure["all_ok"]
             and contradiction["exhaustive_count_satisfying_all"] == 0
             and all(rec["sign_product"] == -1 for rec in sweep)
-            and all(abs(rec["quantum_value"] - 9.0) < 1e-12 for rec in sweep)
-            and all(rec["local_bound"] == 7 for rec in sweep)
+            and all(abs(rec["quantum_value"] - QUANTUM_VALUE) < 1e-12 for rec in sweep)
+            and all(rec["local_bound"] == LOCAL_BOUND for rec in sweep)
         ),
     }

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .functional import EXPECTED_SIGNS, BellFunctional
+from .functional import EXPECTED_SIGNS, QUANTUM_VALUE, BellFunctional
 
 ALICE_IDS = ("z1", "z2", "x1", "x2", "z1z2", "x1x2")
 BOB_IDS = ("z3", "z4", "x3", "x4", "z3x4", "x3z4")
@@ -212,7 +212,7 @@ def certificate() -> dict:
     functional = BellFunctional.canonical()
     proof = prove_no_valid_assignment(constraints_for(functional))
     bound, witness = local_bound(functional)
-    threshold = visibility_threshold(functional, 9)
+    threshold = visibility_threshold(functional, QUANTUM_VALUE)
     return {
         "id_order": list(ID_ORDER),
         "constraints": [
@@ -225,7 +225,7 @@ def certificate() -> dict:
         "max_simultaneously_satisfiable": proof["max_simultaneously_satisfiable"],
         "local_bound": bound,
         "witness": witness,
-        "quantum_value": 9,
+        "quantum_value": QUANTUM_VALUE,
         "visibility_threshold": float(threshold),
         "visibility_threshold_exact": f"{threshold.numerator}/{threshold.denominator}",
     }

@@ -15,21 +15,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
-
-import numpy as np
-
-_MAX_MATRIX_QUBITS = 8
+from functools import cached_property
 
 _PHASE_PREFIX = {0: "+", 1: "i·", 2: "-", 3: "-i·"}
-_PHASE_VALUE = {0: 1, 1: 1j, 2: -1, 3: -1j}
-
-_SINGLE_QUBIT = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
 
 _LETTER = {(0, 0): "", (1, 0): "x", (0, 1): "z", (1, 1): "y"}
 
@@ -47,6 +35,9 @@ class PauliString:
     phase_power: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
         full = (1 << self.n_qubits) - 1
@@ -127,20 +118,6 @@ class PauliString:
         for q in qubits:
             allowed |= 1 << (self.n_qubits - q)
         return (self.x_mask | self.z_mask) & ~allowed == 0
-
-    # -- oracle bridge ---------------------------------------------------
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix; for tests and oracles only."""
-        if self.n_qubits > _MAX_MATRIX_QUBITS:
-            raise ValueError(f"refusing dense matrix for n={self.n_qubits}")
-        factors = []
-        for q in range(1, self.n_qubits + 1):
-            bit = 1 << (self.n_qubits - q)
-            factors.append(
-                _SINGLE_QUBIT[(self.x_mask & bit != 0, self.z_mask & bit != 0)]
-            )
-        return _PHASE_VALUE[self.phase_power] * reduce(np.kron, factors)
 
     # -- text form -------------------------------------------------------
 

@@ -22,12 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import nine_terms
+from .functional import LOCAL_BOUND, QUANTUM_VALUE, nine_terms
 from .pauli import parse
 from .states import born_probabilities, build_psi
-
-LOCAL_BOUND = 7
-QUANTUM_VALUE = 9
 
 #: Version of the draws a seed maps to: 1 sampled every shot; 2 draws two
 #: binomials per term from the same substreams.
@@ -72,6 +69,8 @@ def term_rng(seed: int, term_index: int, estimator: str = "direct"):
     """Child generator for one term: the master seed is extended by the
     spawn key (term_index, estimator_code), so every (term, estimator)
     pair owns an independent, reproducible substream."""
+    if estimator not in _ESTIMATOR_CODES:
+        raise ValueError(f"unknown estimator {estimator!r}")
     key = (term_index, _ESTIMATOR_CODES[estimator])
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
@@ -97,6 +96,16 @@ def _measurement_plan(term_index: int, estimator: str):
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a bool or a non-integer raises ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def run_experiment(
     term_index: int,
     shots: int,
@@ -105,14 +114,10 @@ def run_experiment(
     estimator: str = "direct",
 ) -> CorrelationRecord:
     """Estimate one term's correlation from `shots` simulated runs."""
+    term_index = _integer("term_index", term_index)
     if not 1 <= term_index <= 9:
         raise ValueError("term_index must be 1..9")
-    if isinstance(shots, bool):
-        raise ValueError("shots must be an integer, not a bool")
-    try:
-        shots = operator.index(shots)
-    except TypeError:
-        raise ValueError(f"shots must be an integer, got {shots!r}") from None
+    shots = _integer("shots", shots)
     if shots <= 0:
         raise ValueError("shots must be positive")
     if shots > MAX_SHOTS:

@@ -4,17 +4,13 @@ Basis convention: the ket |q1 q2 ... qn> is stored at integer index
 q1*2^(n-1) + ... + qn, i.e. qubit 1 is the most significant bit, matching
 the mask convention of :mod:`avnlab.pauli`.
 
-Each operator's action on amplitudes is computed once: the index map and
-the per-amplitude phase of a Pauli string depend only on the string, so
-they are built on first use, cached as read-only arrays, and every later
-application is one multiply and one scatter.
-
-A family of Pauli strings on one state (the nine term observables, say)
-is applied in one step: the family's index maps and phases are stacked
-into (family x 2^n) arrays, cached per family, and every image is one
-row of a single gather and multiply.  `eigensigns` and `expectations`
-work on such a family; `eigensign` and `expectation` are their
-one-operator cases.
+Pauli strings act in gather form: the image of a family of strings on
+one state is one gather and one multiply, factors * amps[sources], with
+one row per string.  A string's source map and per-amplitude phases
+depend only on the string, so each family's (family x 2^n) arrays are
+built on first use and cached read-only.  `apply`, `images`,
+`eigensigns`, `expectations` and the Born tables all read that one
+cache; `eigensign` and `expectation` are one-operator cases.
 """
 
 from __future__ import annotations
@@ -124,70 +120,54 @@ def bell_omega(sign: int) -> StateVector:
 
 # -- operator action -------------------------------------------------------
 
-@functools.lru_cache(maxsize=256)
-def _action(n_qubits: int, x_mask: int, z_mask: int, phase_power: int):
-    """Read-only (target, factor) arrays of one Pauli string: amplitude b
-    times factor[b] lands at target[b]."""
-    idx = np.arange(1 << n_qubits, dtype=np.uint32)
-    # X^x Z^z |b> = (-1)^(z.b) |b xor x>; the Y count folds into the phase.
-    phase = (1j) ** ((phase_power + (x_mask & z_mask).bit_count()) % 4)
-    z_par = np.bitwise_count(idx & np.uint32(z_mask)) & 1
-    target = idx ^ np.uint32(x_mask)
-    factor = phase * np.where(z_par, -1.0, 1.0)
-    target.flags.writeable = False
-    factor.flags.writeable = False
-    return target, factor
-
-
-def _apply_raw(op: PauliString, amps: np.ndarray) -> np.ndarray:
-    """op acting on a raw amplitude array (no normalization check)."""
-    target, factor = _action(op.n_qubits, op.x_mask, op.z_mask, op.phase_power)
-    out = np.empty(len(target), dtype=complex)
-    out[target] = factor * amps
-    return out
-
-
-def apply(op: PauliString, state: StateVector) -> StateVector:
-    """op|state> by bit-mask permutation; no matrix is materialized."""
-    if op.n_qubits != state.n_qubits:
-        raise ValueError("qubit count mismatch")
-    return StateVector(state.n_qubits, _apply_raw(op, state.amplitudes))
-
-
 @functools.lru_cache(maxsize=64)
 def _stacked_action(keys: tuple):
-    """Read-only (targets, factors) of a family of Pauli strings in gather
-    form: row k of the images is factors[k] * amps[targets[k]].
+    """Read-only (sources, factors) of a family of Pauli strings in gather
+    form: row k of the images is factors[k] * amps[sources[k]].
 
-    b -> b xor x is an involution, so gathering from target[b] with
-    factor[target[b]] reads the same operands the scatter of `_apply_raw`
-    writes to b.
+    X^x Z^z |b> = (-1)^(z.b) |b xor x>, so the image's amplitude at c is
+    read from source c xor x, with that source's z-parity sign; the Y
+    count folds into the phase.
     """
-    actions = [_action(*key) for key in keys]
-    targets = np.stack([target for target, _ in actions])
-    factors = np.stack([factor[target] for target, factor in actions])
-    targets.flags.writeable = False
+    idx = np.arange(1 << keys[0][0], dtype=np.uint32)
+    sources = np.stack([idx ^ np.uint32(x_mask) for _, x_mask, _, _ in keys])
+    factors = np.stack([
+        (1j) ** ((phase_power + (x_mask & z_mask).bit_count()) % 4)
+        * np.where(np.bitwise_count(source & np.uint32(z_mask)) & 1, -1.0, 1.0)
+        for source, (_, x_mask, z_mask, phase_power) in zip(sources, keys)
+    ])
+    sources.flags.writeable = False
     factors.flags.writeable = False
-    return targets, factors
+    return sources, factors
+
+
+def _family_action(ops, n_qubits: int):
+    """The cached (sources, factors) of a family of Pauli strings, each of
+    which must act on n_qubits qubits."""
+    keys = tuple((op.n_qubits, op.x_mask, op.z_mask, op.phase_power) for op in ops)
+    if any(key[0] != n_qubits for key in keys):
+        raise ValueError("qubit count mismatch")
+    if not keys:
+        dim = 1 << n_qubits
+        return np.empty((0, dim), dtype=np.uint32), np.empty((0, dim), dtype=complex)
+    return _stacked_action(keys)
 
 
 def images(ops, state: StateVector) -> np.ndarray:
     """Rows op|state> for each op of a family, each checked like a
-    StateVector built by `apply`."""
-    n_qubits = state.n_qubits
-    keys = tuple((op.n_qubits, op.x_mask, op.z_mask, op.phase_power) for op in ops)
-    for key in keys:
-        if key[0] != n_qubits:
-            raise ValueError("qubit count mismatch")
-    if not keys:
-        return np.empty((0, 1 << n_qubits), dtype=complex)
-    targets, factors = _stacked_action(keys)
-    rows = factors * state.amplitudes[targets]
+    StateVector."""
+    sources, factors = _family_action(ops, state.n_qubits)
+    rows = factors * state.amplitudes[sources]
     for norm in np.square(rows.view(float)).sum(axis=1).tolist():
         # Written so that a NaN norm fails too.
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: |amps|^2 = {norm}")
     return rows
+
+
+def apply(op: PauliString, state: StateVector) -> StateVector:
+    """op|state> by bit-mask permutation; no matrix is materialized."""
+    return StateVector(state.n_qubits, images([op], state)[0])
 
 
 def expectations(ops, state: StateVector, rows=None) -> list:
@@ -265,8 +245,7 @@ def born_probabilities(factors, state: StateVector) -> dict:
     for f in factors:
         if not f.is_hermitian:
             raise ValueError(f"{f} is not Hermitian")
-        if f.n_qubits != state.n_qubits:
-            raise ValueError("qubit count mismatch")
+    actions = list(zip(*_family_action(factors, state.n_qubits)))
     for a, b in itertools.combinations(factors, 2):
         if not a.commutes(b):
             raise ValueError(f"{a} and {b} do not commute")
@@ -274,8 +253,8 @@ def born_probabilities(factors, state: StateVector) -> dict:
     table = {}
     for outcome in itertools.product((+1, -1), repeat=len(factors)):
         vec = state.amplitudes
-        for eps, f in zip(outcome, factors):
-            vec = 0.5 * (vec + eps * _apply_raw(f, vec))
+        for eps, (source, phase) in zip(outcome, actions):
+            vec = 0.5 * (vec + eps * (phase * vec[source]))
         table[outcome] = float(np.sum(np.abs(vec) ** 2))
     total = sum(table.values())
     if not abs(total - 1.0) <= NORM_TOL:

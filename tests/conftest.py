@@ -1,8 +1,9 @@
-"""Shared fixtures and independent dense-matrix oracles.
+"""Shared fixtures and the project's only dense-matrix oracles.
 
-The oracle helpers here build matrices straight from the single-qubit
-Pauli matrices with numpy.kron, independently of the bit-mask algebra in
-avnlab.pauli, so they can certify it.
+avnlab builds no dense matrix: avnlab.pauli is integer algebra and
+avnlab.states applies strings by bit-mask gathers.  The oracle helpers
+here build matrices straight from the single-qubit Pauli matrices with
+numpy.kron, independently of both, so they can certify them.
 """
 
 import numpy as np
@@ -27,6 +28,16 @@ def kron_letters(letters):
     for letter in letters:
         out = np.kron(out, LETTER_MATRIX[letter])
     return out
+
+
+def oracle_matrix(op):
+    """Dense matrix of a PauliString, read from its masks and phase only:
+    no table or method of avnlab.pauli is used."""
+    shifts = range(op.n_qubits - 1, -1, -1)
+    letters = "".join(
+        "ixzy"[(op.x_mask >> s & 1) | (op.z_mask >> s & 1) << 1] for s in shifts
+    )
+    return (1j) ** op.phase_power * kron_letters(letters)
 
 
 def dense_observable(label, n_qubits):

@@ -24,6 +24,8 @@ from avnlab.pauli import parse
 from avnlab.simulate import NoiseModel, estimate_F, run_experiment
 from avnlab.states import build_psi
 
+from conftest import oracle_matrix
+
 
 def report(n, text):
     print(f"PASS criterion {n}: {text}")
@@ -149,7 +151,7 @@ def test_criterion_9_noise_threshold():
     for visibility in (0.0, 0.5, 7 / 9, 1.0):
         rho = visibility * rho_pure + (1 - visibility) * np.eye(16) / 16
         oracle = sum(
-            t.sign * np.trace(rho @ t.observable.to_matrix()).real
+            t.sign * np.trace(rho @ oracle_matrix(t.observable)).real
             for t in nine_terms()
         )
         assert oracle == pytest.approx(9 * visibility, abs=1e-12)

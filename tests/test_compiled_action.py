@@ -1,11 +1,12 @@
 """The cached Pauli action and the cached observables and labels.
 
-Each dense application looks up an operator's (target, factor) arrays in
-a cache instead of rebuilding them, and a family of operators is applied
-in one gather from stacked arrays.  These tests pin the cached and
-stacked paths to an uncached copy of the per-operator formula, byte for
-byte, and to the dense-matrix oracle, for every Pauli string on up to six
-qubits.
+Each dense application reads a family's (sources, factors) gather arrays
+from one cache instead of rebuilding them, and every image is one row of
+a single gather and multiply.  These tests pin the cached gather, on its
+own and through `images`, the Born tables and the eigen and expectation
+helpers, to an uncached scatter copy of the per-operator formula, byte
+for byte, and to the dense-matrix oracle, for every Pauli string on up
+to six qubits.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from avnlab.functional import ExperimentTerm, nine_terms
 from avnlab.pauli import PauliString
 from avnlab.simulate import _measurement_plan
 
-from conftest import kron_letters
+from conftest import oracle_matrix
 
 MAX_QUBITS = 6
 CACHE_SIZE = 256
@@ -127,22 +128,17 @@ def hermitian(op):
     return PauliString(op.n_qubits, op.x_mask, op.z_mask, op.phase_power & 2)
 
 
-def oracle_matrix(op):
-    """Dense matrix from conftest's single-qubit matrices, independent of
-    the tables in avnlab.pauli."""
-    shifts = range(op.n_qubits - 1, -1, -1)
-    letters = "".join(
-        "ixzy"[(op.x_mask >> s & 1) | (op.z_mask >> s & 1) << 1] for s in shifts
-    )
-    return (1j) ** op.phase_power * kron_letters(letters)
-
-
 class TestCompiledAction:
     @settings(max_examples=150, deadline=None)
     @given(op_and_amplitudes())
     def test_matches_uncached_formula_bytewise(self, case):
+        # One cached row applied as the Born tables apply it, to
+        # unnormalized amplitudes that include signed zeros.
         op, amps = case
-        assert states._apply_raw(op, amps).tobytes() == uncached_apply(op, amps).tobytes()
+        key = (op.n_qubits, op.x_mask, op.z_mask, op.phase_power)
+        sources, factors = states._stacked_action((key,))
+        got = factors[0] * amps[sources[0]]
+        assert got.tobytes() == uncached_apply(op, amps).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(op_and_amplitudes())
@@ -156,24 +152,8 @@ class TestCompiledAction:
             amps = amps / norm
         state = states.StateVector(op.n_qubits, amps)
         assert np.allclose(
-            states.apply(op, state).amplitudes, op.to_matrix() @ amps, rtol=0, atol=1e-12
+            states.apply(op, state).amplitudes, oracle_matrix(op) @ amps, rtol=0, atol=1e-12
         )
-
-    def test_cached_arrays_are_read_only(self):
-        target, factor = states._action(3, 0b101, 0b011, 1)
-        assert target.dtype == np.uint32
-        with pytest.raises(ValueError):
-            target[0] = 1
-        with pytest.raises(ValueError):
-            factor[0] = 1.0
-
-    def test_action_cache_is_bounded(self):
-        amps = np.ones(1 << MAX_QUBITS, dtype=complex)
-        for x in range(CACHE_SIZE + 40):
-            states._apply_raw(PauliString(MAX_QUBITS, x % 64, x // 64, 0), amps)
-        info = states._action.cache_info()
-        assert info.maxsize == CACHE_SIZE
-        assert info.currsize <= CACHE_SIZE
 
 
 class TestStackedFamilies:
@@ -235,13 +215,14 @@ class TestStackedFamilies:
         assert states.eigensigns([], psi) == []
         assert states.expectations([], psi) == []
         assert states.images([], psi).shape == (0, 16)
+        assert states.born_probabilities([], psi) == {(): pytest.approx(1.0)}
 
     def test_stacked_arrays_are_read_only(self):
-        targets, factors = states._stacked_action(((3, 0b101, 0b011, 1), (3, 0, 0b110, 0)))
-        assert targets.shape == factors.shape == (2, 8)
-        assert targets.dtype == np.uint32
+        sources, factors = states._stacked_action(((3, 0b101, 0b011, 1), (3, 0, 0b110, 0)))
+        assert sources.shape == factors.shape == (2, 8)
+        assert sources.dtype == np.uint32
         with pytest.raises(ValueError):
-            targets[0, 0] = 1
+            sources[0, 0] = 1
         with pytest.raises(ValueError):
             factors[0, 0] = 1.0
 
@@ -250,7 +231,10 @@ class TestStackedFamilies:
         assert maxsize is not None
         for x in range(maxsize + 40):
             family = [PauliString(4, x % 16, x // 16, 0), PauliString(4, 0, 0, 0)]
+            # Every reader of the one cache: images, apply and Born tables.
             states.images(family, psi)
+            states.apply(family[0], psi)
+            states.born_probabilities(family, psi)
         assert states._stacked_action.cache_info().currsize <= maxsize
 
 
@@ -259,12 +243,7 @@ class TestProductsAgainstDenseOracle:
     @given(pauli_pairs())
     def test_product_matrix_is_matrix_product(self, pair):
         a, b = pair
-        assert np.array_equal((a * b).to_matrix(), a.to_matrix() @ b.to_matrix())
-
-    @settings(max_examples=200, deadline=None)
-    @given(paulis())
-    def test_to_matrix_matches_independent_oracle(self, op):
-        assert np.array_equal(op.to_matrix(), oracle_matrix(op))
+        assert np.array_equal(oracle_matrix(a * b), oracle_matrix(a) @ oracle_matrix(b))
 
 
 def _local_hermitian(qubits):

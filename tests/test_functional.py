@@ -17,7 +17,7 @@ from avnlab.functional import (
 from avnlab.pauli import parse
 from avnlab.states import StateVector, build_psi
 
-from conftest import dense_observable
+from conftest import dense_observable, oracle_matrix
 
 # (sign, [alice labels], [bob labels]) per identity, for the matrix oracle
 TERM_SPECS = [
@@ -103,7 +103,7 @@ class TestNineIdentities:
 class TestOperatorO:
     def test_term_sum_equals_dense_oracle(self):
         total = sum(
-            t.sign * t.observable.to_matrix() for t in nine_terms()
+            t.sign * oracle_matrix(t.observable) for t in nine_terms()
         )
         assert np.allclose(total, dense_operator_sum(), atol=1e-12)
 

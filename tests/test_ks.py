@@ -217,6 +217,21 @@ class TestTwoPairStates:
 
     @pytest.mark.parametrize("pair13", PAIRS)
     @pytest.mark.parametrize("pair24", PAIRS)
+    def test_each_amplitude_is_one_pair_product(self, pair13, pair24):
+        s13 = ks._PAIR_STATES[pair13][0].amplitudes
+        s24 = ks._PAIR_STATES[pair24][0].amplitudes
+        want = np.zeros(16, dtype=complex)
+        for q1, q2, q3, q4 in np.ndindex(2, 2, 2, 2):
+            want[q1 << 3 | q2 << 2 | q3 << 1 | q4] = s13[q1 << 1 | q3] * s24[q2 << 1 | q4]
+        assert ks.two_pair_state(pair13, pair24).amplitudes.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pairs", [("xx", "phi+"), ("phi+", "psi"), ("PHI+", "psi-")])
+    def test_unknown_pair_raises_value_error(self, pairs):
+        with pytest.raises(ValueError, match="unknown Bell pair"):
+            ks.two_pair_state(*pairs)
+
+    @pytest.mark.parametrize("pair13", PAIRS)
+    @pytest.mark.parametrize("pair24", PAIRS)
     def test_seed_operator_eigenvalues(self, pair13, pair24):
         state = ks.two_pair_state(pair13, pair24)
         _, z13, x13 = ks._PAIR_STATES[pair13]

@@ -16,7 +16,7 @@ from avnlab.functional import BellFunctional, nine_terms, verify_nine_identities
 from avnlab.pauli import parse
 from avnlab.states import build_psi
 
-from conftest import dense_observable
+from conftest import dense_observable, oracle_matrix
 
 
 def make_functional(specs):
@@ -314,14 +314,14 @@ class TestVisibilityThreshold:
 
     def test_every_term_observable_is_traceless(self):
         for t in nine_terms():
-            assert abs(np.trace(t.observable.to_matrix())) < 1e-12
+            assert abs(np.trace(oracle_matrix(t.observable))) < 1e-12
 
     @pytest.mark.parametrize("visibility", [0.0, 0.5, 7 / 9, 1.0])
     def test_werner_scaling_by_density_matrix_oracle(self, visibility):
         psi = build_psi().amplitudes
         rho = visibility * np.outer(psi, psi.conj()) + (1 - visibility) * np.eye(16) / 16
         value = sum(
-            t.sign * np.trace(rho @ t.observable.to_matrix()).real
+            t.sign * np.trace(rho @ oracle_matrix(t.observable)).real
             for t in nine_terms()
         )
         assert value == pytest.approx(9 * visibility, abs=1e-12)

@@ -1,6 +1,7 @@
 """Packaging metadata: the version is written once, in avnlab/__init__.py,
-every third-party module the tests import is a declared dependency, and
-importing the CLI builds none of the cached work."""
+every third-party module the tests import is a declared dependency, the
+Pauli algebra needs no third-party module, and importing the CLI builds
+none of the cached work."""
 
 import ast
 import os
@@ -38,12 +39,13 @@ def test_version_is_single_sourced():
     assert literals == [avnlab.__version__]
 
 
-def _third_party_imports(directory: Path) -> set:
-    """Top-level names imported by the .py files in `directory`, less the
-    standard library, avnlab and the directory's own modules."""
+def _third_party_imports(directory: Path, pattern: str = "*.py") -> set:
+    """Top-level names imported by the files matching `pattern` in
+    `directory`, less the standard library, avnlab and the directory's own
+    modules."""
     local = {path.stem for path in directory.glob("*.py")} | {"avnlab"}
     names = set()
-    for path in directory.glob("*.py"):
+    for path in directory.glob(pattern):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
@@ -69,14 +71,22 @@ def test_test_imports_are_declared():
     assert imported - declared == set()
 
 
+def test_pauli_algebra_imports_only_the_standard_library():
+    # Pauli-string algebra is exact integer arithmetic; dense matrices of
+    # it live in the tests' oracle only.
+    assert (ROOT / "src" / "avnlab" / "pauli.py").is_file()
+    assert _third_party_imports(ROOT / "src" / "avnlab", "pauli.py") == set()
+
+
 def test_import_builds_no_cached_work():
     # Every CLI process pays for what import builds, so the caches of the
     # certificate path must fill on first use, not at import.
     code = (
         "import avnlab.cli\n"
-        "from avnlab import kernels, ks, lhv\n"
+        "from avnlab import kernels, ks, lhv, states\n"
         "for cached in (kernels._first_block, ks.two_pair_state, lhv._masks,\n"
-        "               ks._line_checks, ks.parity_system, avnlab.cli.build_parser):\n"
+        "               ks._line_checks, ks.parity_system, avnlab.cli.build_parser,\n"
+        "               states._stacked_action):\n"
         "    print(cached.cache_info().currsize)\n"
     )
     path = str(ROOT / "src")
@@ -89,4 +99,4 @@ def test_import_builds_no_cached_work():
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert result.stdout.split() == ["0"] * 6
+    assert result.stdout.split() == ["0"] * 7

@@ -1,4 +1,4 @@
-"""Pauli-string algebra against dense matrix oracles."""
+"""Pauli-string algebra against the independent dense-matrix oracle."""
 
 import itertools
 
@@ -7,7 +7,7 @@ import pytest
 
 from avnlab.pauli import PauliString, parse
 
-from conftest import LETTER_MATRIX, kron_letters
+from conftest import LETTER_MATRIX, kron_letters, oracle_matrix
 
 
 def all_phase_free(n_qubits):
@@ -17,19 +17,20 @@ def all_phase_free(n_qubits):
     ]
 
 
-class TestToMatrix:
-    """to_matrix checked against independent kron construction."""
+class TestMatrixEncoding:
+    """The symplectic mask encoding read by the oracle matches the
+    independent kron construction."""
 
     def test_identity(self):
-        assert np.array_equal(PauliString.identity(1).to_matrix(), np.eye(2))
+        assert np.array_equal(oracle_matrix(PauliString.identity(1)), np.eye(2))
 
     def test_single_y(self):
         y = PauliString.single("y", 1, 1)
-        assert np.array_equal(y.to_matrix(), LETTER_MATRIX["y"])
+        assert np.array_equal(oracle_matrix(y), LETTER_MATRIX["y"])
 
     def test_z1x2_is_tensor_product(self):
         op = parse("z1x2", 2)
-        assert np.array_equal(op.to_matrix(), kron_letters("zx"))
+        assert np.array_equal(oracle_matrix(op), kron_letters("zx"))
 
     def test_all_two_qubit_strings_match_kron(self):
         letters = {(0, 0): "i", (1, 0): "x", (0, 1): "z", (1, 1): "y"}
@@ -41,11 +42,7 @@ class TestToMatrix:
                 )
             )
             # the (1,1) letter is Y itself, no extra phase
-            assert np.allclose(p.to_matrix(), want)
-
-    def test_refuses_large_n(self):
-        with pytest.raises(ValueError):
-            PauliString.identity(9).to_matrix()
+            assert np.allclose(oracle_matrix(p), want)
 
 
 class TestMultiply:
@@ -58,23 +55,23 @@ class TestMultiply:
         x = PauliString.single("x", 1, 1)
         product = z * x
         assert product == PauliString(1, 1, 1, 1)
-        assert np.allclose(product.to_matrix(), LETTER_MATRIX["z"] @ LETTER_MATRIX["x"])
+        assert np.allclose(oracle_matrix(product), LETTER_MATRIX["z"] @ LETTER_MATRIX["x"])
 
     def test_zx_zx_gives_minus_yy(self):
         product = parse("z1x1", 2) * parse("z2x2", 2)
         assert product == parse("-y1y2", 2)
         want = kron_letters("zi") @ kron_letters("xi") @ kron_letters("iz") @ kron_letters("ix")
-        assert np.allclose(product.to_matrix(), want)
+        assert np.allclose(oracle_matrix(product), want)
 
     def test_exhaustive_two_qubit_products_match_matrices(self):
         strings = all_phase_free(2)
         for a in strings:
             for phase in range(4):
                 ap = PauliString(2, a.x_mask, a.z_mask, phase)
-                am = ap.to_matrix()
+                am = oracle_matrix(ap)
                 for b in strings:
                     assert np.allclose(
-                        (ap * b).to_matrix(), am @ b.to_matrix()
+                        oracle_matrix(ap * b), am @ oracle_matrix(b)
                     ), f"{ap} * {b}"
 
     def test_associativity_on_random_triples(self):
@@ -102,7 +99,7 @@ class TestCommutes:
         a, b = parse("z1z2", 2), parse("x1x2", 2)
         assert a.commutes(b)
         assert np.allclose(
-            a.to_matrix() @ b.to_matrix(), b.to_matrix() @ a.to_matrix()
+            oracle_matrix(a) @ oracle_matrix(b), oracle_matrix(b) @ oracle_matrix(a)
         )
 
     def test_commutes_iff_products_equal(self):
@@ -170,3 +167,14 @@ class TestSupport:
         assert not parse("z1z3", 4).supported_on((1, 2))
         assert parse("z3x4", 4).supported_on((3, 4))
         assert PauliString.identity(4).supported_on(())
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize(
+        "args",
+        [(2, 1.5, 0), (2, 1, 0, 1.5), (2.0, 1, 0), (True, 1, 0), (2, 1, False),
+         (2, np.int64(1), 0)],
+    )
+    def test_non_int_field_raises_value_error(self, args):
+        with pytest.raises(ValueError, match="must be an int"):
+            PauliString(*args)

@@ -20,6 +20,7 @@ from avnlab.simulate import (
     estimate_F,
     records_to_csv,
     run_experiment,
+    term_rng,
 )
 
 IDEAL = NoiseModel(1.0, 1.0)
@@ -102,6 +103,15 @@ class TestRunExperiment:
     def test_shots_must_be_an_integer(self, shots):
         with pytest.raises(ValueError, match="shots must be an integer"):
             run_experiment(1, shots)
+
+    @pytest.mark.parametrize("term_index", [1.5, 2.0, True, "1", None])
+    def test_term_index_must_be_an_integer(self, term_index):
+        with pytest.raises(ValueError, match="term_index must be an integer"):
+            run_experiment(term_index, 10)
+
+    def test_unknown_estimator_substream_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown estimator 'nope'"):
+            term_rng(0, 1, "nope")
 
     def test_integer_like_shots_are_stored_as_int(self):
         record = run_experiment(1, np.int64(50), seed=0)

@@ -22,7 +22,7 @@ from avnlab.states import (
     tensor,
 )
 
-from conftest import dense_observable
+from conftest import dense_observable, oracle_matrix
 
 
 def unchecked_state(n_qubits, amps):
@@ -119,7 +119,7 @@ class TestApply:
                 3, int(rng.integers(8)), int(rng.integers(8)), int(rng.integers(4))
             )
             assert np.allclose(
-                apply(op, state).amplitudes, op.to_matrix() @ amps, atol=1e-12
+                apply(op, state).amplitudes, oracle_matrix(op) @ amps, atol=1e-12
             )
 
     def test_preserves_normalization(self, psi):
@@ -261,10 +261,10 @@ class TestBellPairClassification:
 
 
 class TestDenseOracleConsistency:
-    """The conftest oracle and to_matrix agree on the paper's observables."""
+    """The two conftest oracles agree on the parsed paper observables."""
 
     @pytest.mark.parametrize(
         "label", ["z1z3", "x2x4", "z3x4", "-y1y2y3y4", "x1x2"]
     )
     def test_oracle_agreement(self, label):
-        assert np.allclose(parse(label, 4).to_matrix(), dense_observable(label, 4))
+        assert np.allclose(oracle_matrix(parse(label, 4)), dense_observable(label, 4))
