@@ -11,19 +11,11 @@ from .functional import (
     BellFunctional,
     EXPECTED_SIGNS,
     ExperimentTerm,
-    bell_functional_value,
     nine_terms,
     verify_nine_identities,
 )
 from .pauli import PauliString, parse
-from .states import (
-    StateVector,
-    apply,
-    born_probabilities,
-    build_psi,
-    classify_bell_pair,
-    expectation,
-)
+from .states import StateVector, born_probabilities, build_psi
 
 __version__ = "0.1.0"
 
@@ -33,12 +25,8 @@ __all__ = [
     "ExperimentTerm",
     "PauliString",
     "StateVector",
-    "apply",
-    "bell_functional_value",
     "born_probabilities",
     "build_psi",
-    "classify_bell_pair",
-    "expectation",
     "nine_terms",
     "parse",
     "verify_nine_identities",

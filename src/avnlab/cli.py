@@ -132,8 +132,10 @@ def _emit(report, args) -> bool:
 #
 # `json.dumps(report, indent=2, sort_keys=True)` always takes json's
 # pure-Python generator encoder when `indent` is set, which costs about
-# twice this one: a walk that appends to one list, joined once.  The
-# output is the same string, for every value json accepts.
+# twice this one: a walk that appends to one list, joined once.  It
+# accepts exactly what reports hold, str keys and values of the types in
+# `_SCALARS` or dicts, lists and tuples of them, and gives the same string
+# as json for those; anything else raises TypeError.
 
 _INFINITY = float("inf")
 
@@ -148,8 +150,7 @@ def _float_text(value) -> str:
     return float.__repr__(value)
 
 
-#: Encoders of the scalar types, looked up by exact type; a subclass (a
-#: numpy float, say) takes the isinstance checks of `_scalar_text`.
+#: Encoders of the scalar types, looked up by exact type.
 _SCALARS = {
     str: _quote,
     int: int.__repr__,
@@ -159,46 +160,13 @@ _SCALARS = {
 }
 
 
-def _scalar_text(value) -> str:
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return _quote(key)
-    if isinstance(key, float):
-        return _quote(_float_text(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return _quote(int.__repr__(key))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
-
-
 def _encode(value, newline, parts):
     """Append the encoding of `value`, whose lines after the first start
     with `newline`, to `parts`.  Values are trees: a container holding
     itself recurses without end."""
     append, scalars = parts.append, _SCALARS
-    if isinstance(value, dict):
+    kind = type(value)
+    if kind is dict:
         if not value:
             append("{}")
             return
@@ -206,10 +174,12 @@ def _encode(value, newline, parts):
         comma = "," + inner
         separator = "{" + inner
         for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             item = value[key]
             append(separator)
             separator = comma
-            append(_quote(key) if type(key) is str else _key_text(key))
+            append(_quote(key))
             text = scalars.get(type(item))
             if text is not None:
                 append(": " + text(item))
@@ -217,7 +187,7 @@ def _encode(value, newline, parts):
                 append(": ")
                 _encode(item, inner, parts)
         append(newline + "}")
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         if not value:
             append("[]")
             return
@@ -233,8 +203,10 @@ def _encode(value, newline, parts):
             else:
                 _encode(item, inner, parts)
         append(newline + "]")
+    elif kind in scalars:
+        append(scalars[kind](value))
     else:
-        append(_scalar_text(value))
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _json_text(report) -> str:
@@ -256,7 +228,10 @@ def _render_text(report, command) -> str:
             lines.append(f"  FAIL {failure}")
     elif command == "lhv":
         lines.append(f"  parity product: {report['parity_product']}")
-        lines.append(f"  satisfying assignments: {report['satisfying_count']} of {4096}")
+        lines.append(
+            f"  satisfying assignments: {report['satisfying_count']}"
+            f" of {1 << len(report['id_order'])}"
+        )
         lines.append(f"  local bound: {report['local_bound']}  quantum value: {report['quantum_value']}")
         lines.append(f"  critical visibility: {report['visibility_threshold_exact']}")
         witness = "".join("-" if report["witness"][k] < 0 else "+" for k in report["id_order"])

@@ -17,10 +17,10 @@ from .pauli import PauliString, parse
 ALICE_QUBITS = (1, 2)
 BOB_QUBITS = (3, 4)
 
-#: Right-hand-side eigenvalues of the nine identities on the double singlet.
+#: Right-hand-side eigenvalues of the nine identities on psi.
 EXPECTED_SIGNS = (-1, -1, -1, -1, +1, +1, +1, +1, -1)
 
-#: The functional's local (LHV) bound and its value on the double singlet.
+#: The functional's local (LHV) bound and its value on psi.
 LOCAL_BOUND = 7
 QUANTUM_VALUE = 9
 
@@ -145,9 +145,7 @@ class BellFunctional:
         return sum(t.sign * v for t, v in zip(terms, values))
 
 
-def verify_nine_identities(
-    state: states.StateVector, tol: float = states.NORM_TOL, rows=None
-):
+def verify_nine_identities(state: states.StateVector, rows=None):
     """Eigenvalue sign of each term observable on `state`.
 
     Returns a list of nine entries, each +1, -1 or None when the state is
@@ -155,20 +153,16 @@ def verify_nine_identities(
     states).  `rows`, when given, are the observables' images of `state`
     from `states.images`.
     """
-    return states.eigensigns(
-        [t.observable for t in nine_terms()], state, tol, rows
-    )
+    return states.eigensigns([t.observable for t in nine_terms()], state, rows)
 
 
-def bell_functional_value(state: states.StateVector) -> float:
-    return BellFunctional.canonical().value(state)
-
-
-def operator_o_check(state: states.StateVector, tol: float = states.NORM_TOL) -> bool:
+def operator_o_check(state: states.StateVector) -> bool:
     """True iff the signed sum of term operators maps state to 9*state."""
     import numpy as np
 
     terms = nine_terms()
     rows = states.images([t.observable for t in terms], state)
     total = sum(t.sign * row for t, row in zip(terms, rows))
-    return bool(np.all(np.abs(total - QUANTUM_VALUE * state.amplitudes) <= tol))
+    return bool(
+        np.all(np.abs(total - QUANTUM_VALUE * state.amplitudes) <= states.NORM_TOL)
+    )

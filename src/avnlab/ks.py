@@ -34,9 +34,9 @@ _CANONICAL_CELLS = (
 
 @dataclass(frozen=True)
 class KsTable:
-    """5x5 grid of optional Pauli strings with per-line product targets."""
+    """Grid of optional Pauli strings with per-line product targets."""
 
-    grid: tuple  # 5 rows of 5 cells, each PauliString or None
+    grid: tuple  # rows of cells, each PauliString or None
     row_targets: tuple
     column_targets: tuple
 
@@ -181,7 +181,8 @@ def render_table(table: KsTable, structure: dict = None) -> str:
         )
         rows.append(f"{cells}| row {r + 1}: {status[f'row {r + 1}']}")
     footer = "  ".join(
-        f"col {c + 1}: {status[f'column {c + 1}']}" for c in range(5)
+        f"col {c + 1}: {status[f'column {c + 1}']}"
+        for c in range(len(table.column_targets))
     )
     return "\n".join(rows) + "\n" + footer
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import kernels
 from .functional import EXPECTED_SIGNS, QUANTUM_VALUE, BellFunctional
 
@@ -109,22 +107,6 @@ def assignment_from_int(x: int) -> dict:
     return {name: -1 if x >> i & 1 else +1 for i, name in enumerate(ID_ORDER)}
 
 
-def check_assignment(values: dict, system: ParitySystem) -> int:
-    """Number of constraints whose product requirement the assignment meets."""
-    missing = set(ID_ORDER) - set(values)
-    if missing:
-        raise ValueError(f"assignment missing ids {sorted(missing)}")
-    count = 0
-    for mask, parity in zip(system.masks, system.parities):
-        product = 1
-        for i, name in enumerate(ID_ORDER):
-            if mask >> i & 1:
-                product *= values[name]
-        if product == (-1) ** parity:
-            count += 1
-    return count
-
-
 def prove_no_valid_assignment(system: ParitySystem) -> dict:
     """Impossibility certificate: parity argument plus exhaustive search
     over all 2^12 assignments (see `ParitySystem.prove`)."""
@@ -148,42 +130,6 @@ def local_bound(functional: BellFunctional):
     signs = [t.sign for t in functional.terms]
     bound, witness = kernels.max_weighted_parity(masks, signs, N_IDS)
     return bound, assignment_from_int(witness)
-
-
-def functional_at_point(functional: BellFunctional, values: dict) -> float:
-    """Multilinear integrand at a point E in [-1, 1]^12."""
-    total = 0.0
-    for term in functional.terms:
-        product = float(term.sign)
-        for name in term_ids(term):
-            product *= values[name]
-        total += product
-    return total
-
-
-def bound_is_attained_at_vertices(
-    functional: BellFunctional, trials: int, seed: int
-) -> bool:
-    """Random interior points never beat the vertex maximum.
-
-    Samples `trials` points uniformly in [-1, 1]^12 and checks the
-    multilinear integrand stays below local_bound + 1e-9.
-    """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    bound, _ = local_bound(functional)
-    rng = np.random.default_rng(seed)
-    signs = np.array([t.sign for t in functional.terms], dtype=float)
-    index_lists = [
-        [_ID_INDEX[name] for name in term_ids(t)] for t in functional.terms
-    ]
-    points = rng.uniform(-1.0, 1.0, size=(trials, N_IDS))
-    values = np.ones((trials, len(functional.terms)))
-    for k, idxs in enumerate(index_lists):
-        for i in idxs:
-            values[:, k] *= points[:, i]
-    totals = values @ signs
-    return bool(np.all(totals <= bound + 1e-9))
 
 
 def visibility_threshold(functional: BellFunctional, quantum_value: float) -> Fraction:

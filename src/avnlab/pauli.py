@@ -1,6 +1,6 @@
 """Exact algebra of n-qubit Pauli strings.
 
-A Pauli string is i^k times a tensor product of single-qubit I, X, Y, Z
+A Pauli string is i^k times a Kronecker product of single-qubit I, X, Y, Z
 factors, encoded symplectically as one (x, z) bit pair per qubit:
 
     (0, 0) = I,   (1, 0) = X,   (0, 1) = Z,   (1, 1) = Y.
@@ -53,6 +53,8 @@ class PauliString:
     @classmethod
     def single(cls, letter: str, qubit: int, n_qubits: int) -> "PauliString":
         """The operator `letter` (x, y or z) acting on one qubit (1-based)."""
+        if type(qubit) is not int or type(n_qubits) is not int:
+            raise ValueError(f"qubit {qubit!r} and n_qubits {n_qubits!r} must be ints")
         if not 1 <= qubit <= n_qubits:
             raise ValueError(f"qubit {qubit} outside 1..{n_qubits}")
         bit = 1 << (n_qubits - qubit)
@@ -146,6 +148,8 @@ def parse(text: str, n_qubits: int) -> PauliString:
     Factors are multiplied left to right, so repeated qubits accumulate
     phase exactly as operator products do ('z1x1' parses to i·y1).
     """
+    if not isinstance(text, str):
+        raise ValueError(f"cannot parse Pauli string {text!r}")
     m = _STRING_RE.match(text.strip())
     if m is None:
         raise ValueError(f"cannot parse Pauli string {text!r}")

@@ -2,7 +2,7 @@
 
 Each run samples one term's sufficient statistic rather than every shot.
 The joint outcomes of the term's local factors follow the exact Born
-distribution on the double-singlet state, mixed with a uniform
+distribution on the state psi of `states.build_psi`, mixed with a uniform
 (depolarized) outcome table with weight 1 - visibility; each factor is
 detected independently, with coincidence post-selection.  Detection does
 not depend on the outcome, so the number of retained shots and the number
@@ -14,9 +14,8 @@ regardless of the order in which terms are executed.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -44,6 +43,9 @@ class NoiseModel:
     detector_efficiency: float = 1.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
         if not 0.0 < self.detector_efficiency <= 1.0:
@@ -69,6 +71,8 @@ def term_rng(seed: int, term_index: int, estimator: str = "direct"):
     """Child generator for one term: the master seed is extended by the
     spawn key (term_index, estimator_code), so every (term, estimator)
     pair owns an independent, reproducible substream."""
+    seed = _integer("seed", seed)
+    term_index = _integer("term_index", term_index)
     if estimator not in _ESTIMATOR_CODES:
         raise ValueError(f"unknown estimator {estimator!r}")
     key = (term_index, _ESTIMATOR_CODES[estimator])
@@ -122,6 +126,8 @@ def run_experiment(
         raise ValueError("shots must be positive")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be at most {MAX_SHOTS}")
+    if not isinstance(noise, NoiseModel):
+        raise ValueError(f"noise must be a NoiseModel, got {noise!r}")
 
     factors, multiplier = _measurement_plan(term_index, estimator)
     table = born_probabilities(factors, build_psi())
@@ -166,6 +172,7 @@ def estimate_F(
     quadrature; the violation verdict requires the bound 7 to be exceeded
     by `sigma_rule` standard errors.
     """
+    seed = _integer("seed", seed)
     records = [
         run_experiment(k, shots_per_term, noise, seed) for k in range(1, 10)
     ]
@@ -204,17 +211,3 @@ def record_as_dict(r: CorrelationRecord) -> dict:
         "estimate": r.estimate,
         "standard_error": r.standard_error,
     }
-
-
-def records_to_csv(records) -> str:
-    """CSV export of per-term records."""
-    buf = io.StringIO()
-    fields = [
-        "term_index", "label", "estimator", "shots_requested",
-        "shots_retained", "estimate", "standard_error",
-    ]
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for r in records:
-        writer.writerow(record_as_dict(r) if isinstance(r, CorrelationRecord) else r)
-    return buf.getvalue()

@@ -8,9 +8,8 @@ Pauli strings act in gather form: the image of a family of strings on
 one state is one gather and one multiply, factors * amps[sources], with
 one row per string.  A string's source map and per-amplitude phases
 depend only on the string, so each family's (family x 2^n) arrays are
-built on first use and cached read-only.  `apply`, `images`,
-`eigensigns`, `expectations` and the Born tables all read that one
-cache; `eigensign` and `expectation` are one-operator cases.
+built on first use and cached read-only.  `images`, `eigensigns`,
+`expectations` and the Born tables all read that one cache.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .pauli import PauliString
 
 NORM_TOL = 1e-12
 
@@ -36,6 +33,8 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if type(self.n_qubits) is not int:
+            raise ValueError(f"n_qubits must be an int, got {self.n_qubits!r}")
         amps = np.asarray(self.amplitudes, dtype=complex).copy()
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError("amplitude vector has wrong length")
@@ -46,37 +45,14 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def basis(cls, n_qubits: int, bits: str) -> "StateVector":
-        """Basis ket from a bit string, e.g. basis(4, '0011')."""
-        if len(bits) != n_qubits or set(bits) - {"0", "1"}:
-            raise ValueError(f"bad basis label {bits!r}")
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[int(bits, 2)] = 1.0
-        return cls(n_qubits, amps)
-
-    def to_json_amplitudes(self) -> list:
-        """Amplitudes as (re, im) pairs indexed by basis-state integer."""
-        return [[a.real, a.imag] for a in self.amplitudes]
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product with a's qubits first (most significant)."""
-    return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amplitudes, b.amplitudes))
-
 
 # -- named states ----------------------------------------------------------
 
-def singlet() -> StateVector:
-    """(|01> - |10>)/sqrt(2)."""
-    return StateVector(2, np.array([0, 1, -1, 0]) * _SQRT_HALF)
-
-
 def build_psi() -> StateVector:
-    """The four-qubit double-singlet state.
+    """The paper's four-qubit state psi.
 
-    Amplitudes +1/2 on |0011> and |1100>, -1/2 on |0110> and |1001>,
-    which is the singlet on qubits (1,3) tensored with the singlet on
+    Amplitudes +1/2 on |0011> and |1100>, -1/2 on |0110> and |1001>:
+    (|01> - |10>)/sqrt(2) on qubits (1,3) times the same pair state on
     qubits (2,4).
     """
     amps = np.zeros(16, dtype=complex)
@@ -95,27 +71,6 @@ def bell_phi(sign: int) -> StateVector:
 def bell_psi(sign: int) -> StateVector:
     """(|01> ± |10>)/sqrt(2)."""
     return StateVector(2, np.array([0, 1, sign, 0]) * _SQRT_HALF)
-
-
-def barred(bit: int) -> StateVector:
-    """X eigenbasis: x|0bar> = |0bar>, x|1bar> = -|1bar>."""
-    return StateVector(1, np.array([1, 1 if bit == 0 else -1]) * _SQRT_HALF)
-
-
-def bell_chi(sign: int) -> StateVector:
-    """(|0 0bar> ± |1 1bar>)/sqrt(2): second qubit in the barred basis."""
-    amps = np.kron([1, 0], barred(0).amplitudes) + sign * np.kron(
-        [0, 1], barred(1).amplitudes
-    )
-    return StateVector(2, amps * _SQRT_HALF)
-
-
-def bell_omega(sign: int) -> StateVector:
-    """(|1 0bar> ± |0 1bar>)/sqrt(2)."""
-    amps = np.kron([0, 1], barred(0).amplitudes) + sign * np.kron(
-        [1, 0], barred(1).amplitudes
-    )
-    return StateVector(2, amps * _SQRT_HALF)
 
 
 # -- operator action -------------------------------------------------------
@@ -165,11 +120,6 @@ def images(ops, state: StateVector) -> np.ndarray:
     return rows
 
 
-def apply(op: PauliString, state: StateVector) -> StateVector:
-    """op|state> by bit-mask permutation; no matrix is materialized."""
-    return StateVector(state.n_qubits, images([op], state)[0])
-
-
 def expectations(ops, state: StateVector, rows=None) -> list:
     """<state|op|state> for each op of a family, each asserted real to
     within 1e-12; `rows`, when given, are `images(ops, state)`."""
@@ -190,46 +140,21 @@ def expectations(ops, state: StateVector, rows=None) -> list:
     return values
 
 
-def expectation(op: PauliString, state: StateVector) -> float:
-    """<state|op|state>, asserted real to within 1e-12."""
-    return expectations([op], state)[0]
-
-
-def equal_up_to_phase(a: StateVector, b: StateVector, tol: float = NORM_TOL) -> bool:
-    """Amplitude equality after rotating each state's dominant amplitude
-    to the positive real axis."""
-    if a.n_qubits != b.n_qubits:
-        return False
-
-    def normalized(amps):
-        pivot = amps[np.argmax(np.abs(amps))]
-        return amps * (abs(pivot) / pivot)
-
-    return bool(
-        np.all(np.abs(normalized(a.amplitudes) - normalized(b.amplitudes)) <= tol)
-    )
-
-
 _PLUS_MINUS = np.array([[1.0], [-1.0]])
 
 
-def eigensigns(ops, state: StateVector, tol: float = NORM_TOL, rows=None) -> list:
+def eigensigns(ops, state: StateVector, rows=None) -> list:
     """For each op of a family: +1 or -1 if state is an eigenstate of op
     at that sign, else None; `rows`, when given, are `images(ops, state)`."""
     if rows is None:
         rows = images(ops, state)
     # Each row's largest distance from +state and from -state, in one
-    # pass over the family; a NaN distance is within tol of neither.
+    # pass over the family; a NaN distance is within NORM_TOL of neither.
     distances = np.abs(rows[:, None, :] - _PLUS_MINUS * state.amplitudes).max(axis=2)
     return [
-        +1 if plus <= tol else -1 if minus <= tol else None
+        +1 if plus <= NORM_TOL else -1 if minus <= NORM_TOL else None
         for plus, minus in distances.tolist()
     ]
-
-
-def eigensign(op: PauliString, state: StateVector, tol: float = NORM_TOL):
-    """+1 or -1 if state is an eigenstate of op at that sign, else None."""
-    return eigensigns([op], state, tol)[0]
 
 
 # -- Born rule -------------------------------------------------------------
@@ -260,25 +185,3 @@ def born_probabilities(factors, state: StateVector) -> dict:
     if not abs(total - 1.0) <= NORM_TOL:
         raise AssertionError(f"Born table sums to {total}")
     return table
-
-
-# -- Bell-pair discrimination ----------------------------------------------
-
-_PAIR_TABLE = {
-    ("alice", +1): ("phi+", "psi-"),
-    ("alice", -1): ("phi-", "psi+"),
-    ("bob", +1): ("chi+", "omega-"),
-    ("bob", -1): ("chi-", "omega+"),
-}
-
-
-def classify_bell_pair(which: str, outcome: int) -> tuple:
-    """Bell-state pair singled out by one product-observable outcome.
-
-    Alice's product observable is (z1z2)(x1x2) on her qubit pair; Bob's is
-    (z3x4)(x3z4) on his.  Each ±1 outcome leaves a two-state subspace.
-    """
-    try:
-        return _PAIR_TABLE[(which, outcome)]
-    except KeyError:
-        raise ValueError(f"no pair for ({which!r}, {outcome!r})") from None

@@ -9,7 +9,7 @@ numpy.kron, independently of both, so they can certify them.
 import numpy as np
 import pytest
 
-from avnlab.states import build_psi
+from avnlab.states import StateVector, build_psi
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -54,6 +54,13 @@ def dense_observable(label, n_qubits):
         letters[qubit - 1] = letter
         out = out @ kron_letters("".join(letters))
     return out
+
+
+def basis(n_qubits, bits):
+    """Basis ket from a bit string, e.g. basis(4, '0011')."""
+    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps[int(bits, 2)] = 1.0
+    return StateVector(n_qubits, amps)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,6 @@ from avnlab import kernels, ks, lhv
 from avnlab.functional import (
     EXPECTED_SIGNS,
     BellFunctional,
-    bell_functional_value,
     nine_terms,
     operator_o_check,
     verify_nine_identities,
@@ -24,6 +23,7 @@ from avnlab.pauli import parse
 from avnlab.simulate import NoiseModel, estimate_F, run_experiment
 from avnlab.states import build_psi
 
+import lhv_oracle
 from conftest import oracle_matrix
 
 
@@ -38,7 +38,7 @@ def timed(fn):
 
 
 def test_criterion_1_nine_identities():
-    signs, elapsed = timed(lambda: verify_nine_identities(build_psi(), tol=1e-12))
+    signs, elapsed = timed(lambda: verify_nine_identities(build_psi()))
     assert signs == [-1, -1, -1, -1, +1, +1, +1, +1, -1]
     assert elapsed < 0.1
     report(1, f"nine identities return (-1,-1,-1,-1,+1,+1,+1,+1,-1) in {elapsed:.3f}s")
@@ -46,9 +46,9 @@ def test_criterion_1_nine_identities():
 
 def test_criterion_2_quantum_value():
     psi = build_psi()
-    value = bell_functional_value(psi)
+    value = BellFunctional.canonical().value(psi)
     assert value == pytest.approx(9, abs=1e-12)
-    assert operator_o_check(psi, tol=1e-12)
+    assert operator_o_check(psi)
     report(2, f"functional value {value} and operator sum maps psi to 9*psi")
 
 
@@ -70,14 +70,14 @@ def test_criterion_4_local_bound():
 
     def work():
         bound, witness = lhv.local_bound(functional)
-        never_exceeded = lhv.bound_is_attained_at_vertices(
+        never_exceeded = lhv_oracle.bound_is_attained_at_vertices(
             functional, trials=100_000, seed=0
         )
         return bound, witness, never_exceeded
 
     (bound, witness, never_exceeded), elapsed = timed(work)
     assert bound == 7
-    assert lhv.functional_at_point(functional, witness) == 7
+    assert lhv_oracle.functional_at_point(functional, witness) == 7
     assert never_exceeded
     assert elapsed < 1.0
     report(4, f"local bound 7 with attaining witness, 1e5 interior samples <= 7+1e-9, in {elapsed:.3f}s")

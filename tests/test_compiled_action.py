@@ -3,8 +3,8 @@
 Each dense application reads a family's (sources, factors) gather arrays
 from one cache instead of rebuilding them, and every image is one row of
 a single gather and multiply.  These tests pin the cached gather, on its
-own and through `images`, the Born tables and the eigen and expectation
-helpers, to an uncached scatter copy of the per-operator formula, byte
+own and through `images`, the Born tables and the eigensign and
+expectation families, to an uncached scatter copy of the per-operator formula, byte
 for byte, and to the dense-matrix oracle, for every Pauli string on up
 to six qubits.
 """
@@ -21,7 +21,7 @@ from avnlab.functional import ExperimentTerm, nine_terms
 from avnlab.pauli import PauliString
 from avnlab.simulate import _measurement_plan
 
-from conftest import oracle_matrix
+from conftest import basis, oracle_matrix
 
 MAX_QUBITS = 6
 CACHE_SIZE = 256
@@ -43,11 +43,12 @@ def uncached_apply(op, amps):
     return out
 
 
-def per_op_eigensign(op, state, tol=states.NORM_TOL):
+def per_op_eigensign(op, state):
     """Eigenvalue sign of one operator, from the uncached image."""
     image = states.StateVector(op.n_qubits, uncached_apply(op, state.amplitudes))
     for sign in (+1, -1):
-        if np.all(np.abs(image.amplitudes - sign * state.amplitudes) <= tol):
+        distance = np.abs(image.amplitudes - sign * state.amplitudes)
+        if np.all(distance <= states.NORM_TOL):
             return sign
     return None
 
@@ -113,7 +114,7 @@ def families(draw):
         n = draw(st.integers(1, MAX_QUBITS))
         if kind == "basis":
             bits = draw(st.integers(0, (1 << n) - 1))
-            state = states.StateVector.basis(n, format(bits, f"0{n}b"))
+            state = basis(n, format(bits, f"0{n}b"))
         else:
             amps = draw(amplitudes(n))
             norm = np.linalg.norm(amps)
@@ -142,7 +143,7 @@ class TestCompiledAction:
 
     @settings(max_examples=100, deadline=None)
     @given(op_and_amplitudes())
-    def test_apply_matches_dense_matrix(self, case):
+    def test_image_matches_dense_matrix(self, case):
         op, amps = case
         norm = np.linalg.norm(amps)
         if norm < 1e-3:
@@ -152,7 +153,7 @@ class TestCompiledAction:
             amps = amps / norm
         state = states.StateVector(op.n_qubits, amps)
         assert np.allclose(
-            states.apply(op, state).amplitudes, oracle_matrix(op) @ amps, rtol=0, atol=1e-12
+            states.images([op], state)[0], oracle_matrix(op) @ amps, rtol=0, atol=1e-12
         )
 
 
@@ -176,7 +177,7 @@ class TestStackedFamilies:
         ops = [hermitian(op) for op in ops]
         got = [value.hex() for value in states.expectations(ops, state)]
         assert got == [per_op_expectation(op, state).hex() for op in ops]
-        assert got == [states.expectation(op, state).hex() for op in ops]
+        assert got == [states.expectations([op], state)[0].hex() for op in ops]
         rows = states.images(ops, state)
         assert [value.hex() for value in states.expectations(ops, state, rows)] == got
 
@@ -231,9 +232,9 @@ class TestStackedFamilies:
         assert maxsize is not None
         for x in range(maxsize + 40):
             family = [PauliString(4, x % 16, x // 16, 0), PauliString(4, 0, 0, 0)]
-            # Every reader of the one cache: images, apply and Born tables.
+            # Every reader of the one cache: images and Born tables.
             states.images(family, psi)
-            states.apply(family[0], psi)
+            states.images(family[:1], psi)
             states.born_probabilities(family, psi)
         assert states._stacked_action.cache_info().currsize <= maxsize
 

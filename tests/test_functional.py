@@ -9,7 +9,6 @@ from avnlab.functional import (
     EXPECTED_SIGNS,
     BellFunctional,
     ExperimentTerm,
-    bell_functional_value,
     nine_terms,
     operator_o_check,
     verify_nine_identities,
@@ -17,7 +16,7 @@ from avnlab.functional import (
 from avnlab.pauli import parse
 from avnlab.states import StateVector, build_psi
 
-from conftest import dense_observable, oracle_matrix
+from conftest import basis, dense_observable, oracle_matrix
 
 # (sign, [alice labels], [bob labels]) per identity, for the matrix oracle
 TERM_SPECS = [
@@ -93,7 +92,7 @@ class TestNineIdentities:
         assert np.prod(signs) == -1
 
     def test_ground_state_mixes_definite_and_nondefinite(self):
-        signs = verify_nine_identities(StateVector.basis(4, "0000"))
+        signs = verify_nine_identities(basis(4, "0000"))
         assert signs[0] == signs[1] == +1  # z1z3, z2z4
         assert signs[4] == +1              # z1z2 z3 z4
         for k in (2, 3, 5, 6, 7, 8):       # any x or y content flips bits
@@ -114,14 +113,15 @@ class TestOperatorO:
         )
 
     def test_quantum_value_nine(self, psi):
-        assert bell_functional_value(psi) == pytest.approx(9, abs=1e-12)
+        assert BellFunctional.canonical().value(psi) == pytest.approx(9, abs=1e-12)
 
     def test_uniform_superposition_matches_oracle(self):
         state = StateVector(4, np.full(16, 0.25, dtype=complex))
         oracle_value = np.vdot(
             state.amplitudes, dense_operator_sum() @ state.amplitudes
         ).real
-        assert bell_functional_value(state) == pytest.approx(oracle_value, abs=1e-12)
+        value = BellFunctional.canonical().value(state)
+        assert value == pytest.approx(oracle_value, abs=1e-12)
 
     def test_mixed_singlet_family_value_by_sign_sweep(self):
         from avnlab.ks import two_pair_state
@@ -130,7 +130,8 @@ class TestOperatorO:
         signs = verify_nine_identities(state)
         assert None not in signs
         swept = sum(t.sign * s for t, s in zip(nine_terms(), signs))
-        assert bell_functional_value(state) == pytest.approx(swept, abs=1e-12)
+        value = BellFunctional.canonical().value(state)
+        assert value == pytest.approx(swept, abs=1e-12)
 
 
 class TestOperatorIdentities:

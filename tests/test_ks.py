@@ -11,7 +11,7 @@ import pytest
 from avnlab import ks
 from avnlab.functional import EXPECTED_SIGNS
 from avnlab.pauli import PauliString, parse
-from avnlab.states import eigensign, equal_up_to_phase
+from avnlab.states import eigensigns
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +203,10 @@ class TestTwoPairStates:
     def test_double_singlet_matches_build_psi(self):
         from avnlab.states import build_psi
 
-        assert equal_up_to_phase(ks.two_pair_state("psi-", "psi-"), build_psi())
+        assert np.allclose(
+            ks.two_pair_state("psi-", "psi-").amplitudes, build_psi().amplitudes,
+            rtol=0, atol=1e-12,
+        )
 
     def test_states_are_built_once(self):
         ks.two_pair_state.cache_clear()
@@ -236,10 +239,8 @@ class TestTwoPairStates:
         state = ks.two_pair_state(pair13, pair24)
         _, z13, x13 = ks._PAIR_STATES[pair13]
         _, z24, x24 = ks._PAIR_STATES[pair24]
-        assert eigensign(parse("z1z3", 4), state) == z13
-        assert eigensign(parse("x1x3", 4), state) == x13
-        assert eigensign(parse("z2z4", 4), state) == z24
-        assert eigensign(parse("x2x4", 4), state) == x24
+        seeds = [parse(label, 4) for label in ("z1z3", "x1x3", "z2z4", "x2x4")]
+        assert eigensigns(seeds, state) == [z13, x13, z24, x24]
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +292,23 @@ class TestReporting:
         text = ks.render_table(table)
         assert "row 1: ok" in text and "col 5: ok" in text
         assert "y1y2y3y4" in text
+
+    def test_mermin_peres_square_renders(self):
+        cells = (("x1", "x2", "x1x2"), ("z2", "z1", "z1z2"), ("x1z2", "z1x2", "y1y2"))
+        square = ks.KsTable(
+            tuple(tuple(parse(cell, 2) for cell in row) for row in cells),
+            (+1, +1, +1),
+            (+1, +1, -1),
+        )
+        structure = ks.verify_table_structure(square)
+        assert structure["all_ok"]
+        proof = ks.prove_ks_contradiction(square, structure)
+        assert proof["exhaustive_count_satisfying_all"] == 0
+        assert proof["assignments_checked"] == 512
+        lines = ks.render_table(square, structure).split("\n")
+        assert len(lines) == 4
+        assert lines[0] == "x1        x2        x1x2      | row 1: ok"
+        assert lines[-1] == "col 1: ok  col 2: ok  col 3: ok"
 
     def test_certificate_is_json_ready(self):
         import json

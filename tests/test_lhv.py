@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as oracle
+import lhv_oracle
 from avnlab import ks, lhv
 from avnlab.functional import BellFunctional, nine_terms, verify_nine_identities
 from avnlab.pauli import parse
@@ -114,19 +115,19 @@ class TestSweepBounds:
 class TestCheckAssignment:
     def test_all_plus_one_satisfies_four(self):
         values = {name: +1 for name in lhv.ID_ORDER}
-        assert lhv.check_assignment(values, canonical_system()) == 4
+        assert lhv_oracle.check_assignment(values, canonical_system()) == 4
 
     def test_no_assignment_satisfies_all_nine(self):
         system = canonical_system()
         best = max(
-            lhv.check_assignment(lhv.assignment_from_int(x), system)
+            lhv_oracle.check_assignment(lhv.assignment_from_int(x), system)
             for x in range(4096)
         )
         assert best == 8
 
     def test_partial_assignment_rejected(self):
         with pytest.raises(ValueError):
-            lhv.check_assignment({"z1": 1}, canonical_system())
+            lhv_oracle.check_assignment({"z1": 1}, canonical_system())
 
 
 class TestImpossibilityProof:
@@ -147,7 +148,7 @@ class TestImpossibilityProof:
         assert not proof["parity_says_impossible"]
         assert proof["exhaustive_count_satisfying_all"] > 0
         # all-plus-one fails (the four -1 constraints), but some vertex works
-        assert lhv.check_assignment({n: 1 for n in lhv.ID_ORDER}, mutated) == 5
+        assert lhv_oracle.check_assignment({n: 1 for n in lhv.ID_ORDER}, mutated) == 5
 
     @pytest.mark.parametrize("flip", range(9))
     def test_parity_and_exhaustion_agree_on_mutations(self, flip):
@@ -184,14 +185,14 @@ class TestLocalBound:
     def test_paper_functional_bound_is_seven(self):
         bound, witness = lhv.local_bound(BellFunctional.canonical())
         assert bound == 7
-        assert lhv.functional_at_point(BellFunctional.canonical(), witness) == 7
+        assert lhv_oracle.functional_at_point(BellFunctional.canonical(), witness) == 7
 
     def test_witness_is_lexicographically_first(self):
         functional = BellFunctional.canonical()
         bound, witness = lhv.local_bound(functional)
         for x in range(4096):
             values = lhv.assignment_from_int(x)
-            if lhv.functional_at_point(functional, values) == bound:
+            if lhv_oracle.functional_at_point(functional, values) == bound:
                 assert values == witness
                 break
 
@@ -218,7 +219,7 @@ class TestLocalBound:
     def test_vertex_values_are_odd_integers_in_range(self):
         functional = BellFunctional.canonical()
         for x in range(4096):
-            value = lhv.functional_at_point(functional, lhv.assignment_from_int(x))
+            value = lhv_oracle.functional_at_point(functional, lhv.assignment_from_int(x))
             assert value == int(value)
             assert int(value) % 2 == 1
             assert -9 <= value <= 9
@@ -249,25 +250,25 @@ class TestLocalBound:
             point["x1x2"] = point["x1"] * point["x2"]
             point["z3x4"] = point["z3"] * point["x4"]
             point["x3z4"] = point["x3"] * point["z4"]
-            best = max(best, lhv.functional_at_point(functional, point))
+            best = max(best, lhv_oracle.functional_at_point(functional, point))
         assert best <= 7
 
 
 class TestMultilinearity:
     def test_interior_sampling_never_exceeds_bound(self):
-        assert lhv.bound_is_attained_at_vertices(
+        assert lhv_oracle.bound_is_attained_at_vertices(
             BellFunctional.canonical(), trials=100_000, seed=0
         )
 
     def test_zero_point_is_zero(self):
-        value = lhv.functional_at_point(
+        value = lhv_oracle.functional_at_point(
             BellFunctional.canonical(), {name: 0.0 for name in lhv.ID_ORDER}
         )
         assert value == 0.0 <= 7
 
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(ValueError):
-            lhv.bound_is_attained_at_vertices(BellFunctional.canonical(), 0, 0)
+            lhv_oracle.bound_is_attained_at_vertices(BellFunctional.canonical(), 0, 0)
 
 
 class TestVisibilityThreshold:

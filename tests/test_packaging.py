@@ -1,7 +1,8 @@
 """Packaging metadata: the version is written once, in avnlab/__init__.py,
 every third-party module the tests import is a declared dependency, the
-Pauli algebra needs no third-party module, and importing the CLI builds
-none of the cached work."""
+Pauli algebra and the hidden-variable proofs need no third-party module,
+the public API is pinned, and importing the CLI builds none of the cached
+work."""
 
 import ast
 import os
@@ -71,11 +72,31 @@ def test_test_imports_are_declared():
     assert imported - declared == set()
 
 
-def test_pauli_algebra_imports_only_the_standard_library():
-    # Pauli-string algebra is exact integer arithmetic; dense matrices of
-    # it live in the tests' oracle only.
-    assert (ROOT / "src" / "avnlab" / "pauli.py").is_file()
-    assert _third_party_imports(ROOT / "src" / "avnlab", "pauli.py") == set()
+@pytest.mark.parametrize("module", ["pauli.py", "lhv.py"])
+def test_integer_algebra_imports_only_the_standard_library(module):
+    # Pauli-string algebra and the hidden-variable proofs are exact integer
+    # arithmetic; dense matrices and sampling oracles live in the tests.
+    assert (ROOT / "src" / "avnlab" / module).is_file()
+    assert _third_party_imports(ROOT / "src" / "avnlab", module) == set()
+
+
+def test_public_api_is_pinned():
+    assert avnlab.__all__ == [
+        "BellFunctional",
+        "EXPECTED_SIGNS",
+        "ExperimentTerm",
+        "PauliString",
+        "StateVector",
+        "born_probabilities",
+        "build_psi",
+        "nine_terms",
+        "parse",
+        "verify_nine_identities",
+        "__version__",
+    ]
+    namespace = {}
+    exec("from avnlab import *", namespace)
+    assert set(avnlab.__all__) <= namespace.keys()
 
 
 def test_import_builds_no_cached_work():

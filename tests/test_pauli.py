@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from avnlab.pauli import PauliString, parse
+from avnlab.states import StateVector
 
 from conftest import LETTER_MATRIX, kron_letters, oracle_matrix
 
@@ -178,3 +179,25 @@ class TestFieldTypes:
     def test_non_int_field_raises_value_error(self, args):
         with pytest.raises(ValueError, match="must be an int"):
             PauliString(*args)
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: PauliString.single("x", 1.5, 4),
+            lambda: PauliString.single("x", True, 4),
+            lambda: PauliString.single("x", 1, 4.0),
+            lambda: StateVector(2.0, [1, 0, 0, 0]),
+            lambda: StateVector(None, [1, 0]),
+            lambda: parse(123, 4),
+            lambda: parse(b"z1", 4),
+            lambda: parse(None, 4),
+        ],
+        ids=["single-qubit-float", "single-qubit-bool", "single-n-float",
+             "state-n-float", "state-n-none", "parse-int", "parse-bytes",
+             "parse-none"],
+    )
+    def test_wrong_type_raises_value_error(self, call):
+        with pytest.raises(ValueError):
+            call()

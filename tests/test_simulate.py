@@ -4,6 +4,7 @@ import json
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from avnlab.simulate import (
     DegenerateRecordError,
     NoiseModel,
     estimate_F,
-    records_to_csv,
     run_experiment,
     term_rng,
 )
@@ -49,6 +49,21 @@ class TestNoiseModel:
     def test_rejects_bad_efficiency(self, eta):
         with pytest.raises(ValueError):
             NoiseModel(detector_efficiency=eta)
+
+    @pytest.mark.parametrize("bad", ["a", None, 1j, True, [0.5]])
+    @pytest.mark.parametrize("field", ["visibility", "detector_efficiency"])
+    def test_rejects_non_numbers(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            NoiseModel(**{field: bad})
+
+    def test_accepts_numpy_and_fraction_values(self):
+        noise = NoiseModel(np.float64(0.5), Fraction(1, 2))
+        assert noise.visibility == noise.detector_efficiency == 0.5
+
+    @pytest.mark.parametrize("noise", [None, (1.0, 1.0), "ideal"])
+    def test_run_experiment_wants_a_noise_model(self, noise):
+        with pytest.raises(ValueError, match="^noise must be a NoiseModel"):
+            run_experiment(1, 10, noise)
 
 
 class TestRunExperiment:
@@ -108,6 +123,30 @@ class TestRunExperiment:
     def test_term_index_must_be_an_integer(self, term_index):
         with pytest.raises(ValueError, match="term_index must be an integer"):
             run_experiment(term_index, 10)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seed: run_experiment(1, 10, seed=seed),
+            lambda seed: estimate_F(10, seed=seed),
+            lambda seed: term_rng(seed, 1),
+        ],
+        ids=["run_experiment", "estimate_F", "term_rng"],
+    )
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "1", None])
+    def test_seed_must_be_an_integer(self, call, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            call(seed)
+
+    @pytest.mark.parametrize("term_index", [1.5, True, "1", None])
+    def test_substream_term_index_must_be_an_integer(self, term_index):
+        with pytest.raises(ValueError, match="^term_index must be an integer"):
+            term_rng(0, term_index)
+
+    def test_integer_like_seed_is_recorded_as_int(self):
+        report = estimate_F(10, seed=np.int64(3))
+        assert type(report["config"]["seed"]) is int
+        assert report == estimate_F(10, seed=3)
 
     def test_unknown_estimator_substream_is_a_value_error(self):
         with pytest.raises(ValueError, match="unknown estimator 'nope'"):
@@ -253,13 +292,3 @@ class TestEstimateF:
         for r in report["records"]:
             expected = math.sqrt((1 - r["estimate"] ** 2) / r["shots_retained"])
             assert r["standard_error"] == pytest.approx(expected, abs=1e-15)
-
-
-class TestCsvExport:
-    def test_roundtrip_fields(self):
-        records = [run_experiment(k, 1_000, IDEAL, seed=0) for k in (1, 9)]
-        text = records_to_csv(records)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("term_index,label,estimator")
-        assert len(lines) == 3
-        assert lines[1].split(",")[0] == "1"

@@ -6,23 +6,29 @@ import pytest
 from avnlab.pauli import PauliString, parse
 from avnlab.states import (
     StateVector,
-    apply,
-    barred,
-    bell_chi,
-    bell_omega,
     bell_phi,
     bell_psi,
     born_probabilities,
-    build_psi,
-    classify_bell_pair,
-    eigensign,
-    equal_up_to_phase,
-    expectation,
-    singlet,
-    tensor,
+    eigensigns,
+    expectations,
+    images,
 )
 
-from conftest import dense_observable, oracle_matrix
+from conftest import basis, dense_observable, oracle_matrix
+
+SINGLET = np.array([0, 1, -1, 0]) / np.sqrt(2)
+
+
+def image(op, state):
+    return images([op], state)[0]
+
+
+def expectation(op, state):
+    return expectations([op], state)[0]
+
+
+def eigensign(op, state):
+    return eigensigns([op], state)[0]
 
 
 def unchecked_state(n_qubits, amps):
@@ -47,9 +53,9 @@ class TestBuildPsi:
         assert psi.amplitudes[0b0000] == 0
         assert psi.amplitudes[0b1111] == 0
 
-    def test_equals_two_singlets_up_to_phase(self, psi):
+    def test_equals_two_singlets(self, psi):
         # singlet on (1,3) times singlet on (2,4): interleave qubit order
-        s = np.kron(singlet().amplitudes, singlet().amplitudes)  # order q1 q3 q2 q4
+        s = np.kron(SINGLET, SINGLET)  # order q1 q3 q2 q4
         reordered = np.zeros(16, dtype=complex)
         for q1 in range(2):
             for q3 in range(2):
@@ -58,7 +64,7 @@ class TestBuildPsi:
                         src = q1 << 3 | q3 << 2 | q2 << 1 | q4
                         dst = q1 << 3 | q2 << 2 | q3 << 1 | q4
                         reordered[dst] = s[src]
-        assert equal_up_to_phase(psi, StateVector(4, reordered))
+        assert np.allclose(psi.amplitudes, reordered, rtol=0, atol=1e-12)
 
 
 class TestStateVector:
@@ -89,25 +95,18 @@ class TestStateVector:
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 1.0
 
-    def test_json_amplitudes(self):
-        state = StateVector(1, np.array([0, 1j]))
-        assert state.to_json_amplitudes() == [[0.0, 0.0], [0.0, 1.0]]
 
-
-class TestApply:
+class TestImages:
     def test_identity(self, psi):
-        assert np.array_equal(apply(PauliString.identity(4), psi).amplitudes, psi.amplitudes)
+        assert np.array_equal(image(PauliString.identity(4), psi), psi.amplitudes)
 
     def test_bit_flip(self):
         assert np.array_equal(
-            apply(parse("x1", 2), StateVector.basis(2, "00")).amplitudes,
-            StateVector.basis(2, "10").amplitudes,
+            image(parse("x1", 2), basis(2, "00")), basis(2, "10").amplitudes
         )
 
     def test_z1z3_on_psi_is_minus_psi(self, psi):
-        assert np.array_equal(
-            apply(parse("z1z3", 4), psi).amplitudes, -psi.amplitudes
-        )
+        assert np.array_equal(image(parse("z1z3", 4), psi), -psi.amplitudes)
 
     def test_matches_matrix_oracle_on_random_states(self):
         rng = np.random.default_rng(11)
@@ -118,17 +117,15 @@ class TestApply:
             op = PauliString(
                 3, int(rng.integers(8)), int(rng.integers(8)), int(rng.integers(4))
             )
-            assert np.allclose(
-                apply(op, state).amplitudes, oracle_matrix(op) @ amps, atol=1e-12
-            )
+            assert np.allclose(image(op, state), oracle_matrix(op) @ amps, atol=1e-12)
 
     def test_preserves_normalization(self, psi):
-        out = apply(parse("-y1y2y3y4", 4), psi)
-        assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12
+        out = image(parse("-y1y2y3y4", 4), psi)
+        assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-12
 
     def test_dimension_mismatch(self, psi):
         with pytest.raises(ValueError):
-            apply(PauliString.identity(2), psi)
+            image(PauliString.identity(2), psi)
 
 
 class TestExpectation:
@@ -140,7 +137,7 @@ class TestExpectation:
         assert expectation(op, psi) == pytest.approx(-1, abs=1e-12)
 
     def test_trivial_z_on_00(self):
-        assert expectation(parse("z1", 2), StateVector.basis(2, "00")) == 1.0
+        assert expectation(parse("z1", 2), basis(2, "00")) == 1.0
 
     def test_rejects_non_hermitian(self, psi):
         with pytest.raises(ValueError):
@@ -154,29 +151,22 @@ class TestExpectation:
             expectation(parse("z1", 1), state)
 
 
-class TestBarredBasis:
+class TestEigensigns:
     def test_x_eigenstates(self):
         x = parse("x1", 1)
-        assert np.allclose(apply(x, barred(0)).amplitudes, barred(0).amplitudes)
-        assert np.allclose(apply(x, barred(1)).amplitudes, -barred(1).amplitudes)
-
-
-class TestEqualUpToPhase:
-    def test_global_phase_ignored(self, psi):
-        for phase in (-1, 1j, np.exp(0.3j)):
-            rotated = StateVector(4, phase * psi.amplitudes)
-            assert equal_up_to_phase(psi, rotated)
-
-    def test_different_states_differ(self, psi):
-        assert not equal_up_to_phase(psi, StateVector.basis(4, "0011"))
+        assert eigensign(x, StateVector(1, np.array([1, 1]) / np.sqrt(2))) == +1
+        assert eigensign(x, StateVector(1, np.array([1, -1]) / np.sqrt(2))) == -1
 
     def test_eigensign(self, psi):
         assert eigensign(parse("z1z3", 4), psi) == -1
         assert eigensign(parse("z1", 4), psi) is None
 
-    def test_nan_tolerance_matches_neither_sign(self, psi):
-        assert eigensign(parse("z1z3", 4), psi, tol=np.nan) is None
-        assert type(eigensign(parse("z1z3", 4), psi)) is int
+    def test_nan_image_matches_neither_sign(self, psi):
+        ops = [parse("z1z3", 4)]
+        rows = images(ops, psi).copy()
+        rows[0, 3] = np.nan
+        assert eigensigns(ops, psi, rows=rows) == [None]
+        assert type(eigensign(ops[0], psi)) is int
 
 
 class TestBornProbabilities:
@@ -193,11 +183,11 @@ class TestBornProbabilities:
         assert table[(-1, -1)] == pytest.approx(0, abs=1e-12)
 
     def test_z_on_ground_state(self):
-        table = born_probabilities([parse("z1", 4)], StateVector.basis(4, "0000"))
+        table = born_probabilities([parse("z1", 4)], basis(4, "0000"))
         assert table[(+1,)] == pytest.approx(1, abs=1e-12)
 
     def test_phi_plus_pair_is_deterministic(self):
-        state = tensor(bell_phi(+1), bell_phi(+1))
+        state = StateVector(4, np.kron(bell_phi(+1).amplitudes, bell_phi(+1).amplitudes))
         table = born_probabilities([parse("z1z2", 4), parse("x1x2", 4)], state)
         assert table[(+1, +1)] == pytest.approx(1, abs=1e-12)
 
@@ -223,37 +213,14 @@ class TestBornProbabilities:
             )
 
 
-class TestBellPairClassification:
-    def test_quoted_pairs(self):
-        assert classify_bell_pair("alice", +1) == ("phi+", "psi-")
-        assert classify_bell_pair("alice", -1) == ("phi-", "psi+")
-        assert classify_bell_pair("bob", +1) == ("chi+", "omega-")
-        assert classify_bell_pair("bob", -1) == ("chi-", "omega+")
-
-    def test_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            classify_bell_pair("eve", +1)
-
-    @pytest.mark.parametrize("outcome", [+1, -1])
-    def test_alice_pairs_are_eigenstates(self, outcome):
-        states_by_name = {
-            "phi+": bell_phi(+1), "phi-": bell_phi(-1),
-            "psi+": bell_psi(+1), "psi-": bell_psi(-1),
-        }
+class TestBellPairs:
+    @pytest.mark.parametrize(
+        "state, outcome",
+        [(bell_phi(+1), +1), (bell_psi(-1), +1), (bell_phi(-1), -1), (bell_psi(+1), -1)],
+    )
+    def test_alice_pairs_are_eigenstates(self, state, outcome):
         observable = parse("z1z2", 2) * parse("x1x2", 2)
-        for name in classify_bell_pair("alice", outcome):
-            assert eigensign(observable, states_by_name[name]) == outcome
-
-    @pytest.mark.parametrize("outcome", [+1, -1])
-    def test_bob_pairs_are_eigenstates(self, outcome):
-        # qubits 3, 4 relabeled 1, 2 for the two-qubit states
-        states_by_name = {
-            "chi+": bell_chi(+1), "chi-": bell_chi(-1),
-            "omega+": bell_omega(+1), "omega-": bell_omega(-1),
-        }
-        observable = parse("z1x2", 2) * parse("x1z2", 2)
-        for name in classify_bell_pair("bob", outcome):
-            assert eigensign(observable, states_by_name[name]) == outcome
+        assert eigensign(observable, state) == outcome
 
     def test_phi_minus_eigenvalue(self):
         observable = parse("z1z2", 2) * parse("x1x2", 2)
