@@ -127,8 +127,9 @@ class TestAll:
 
     def test_seed_0_certificate_matches_golden_bytes(self, tmp_path):
         # At the default visibility and efficiency of 1 both binomial draws
-        # of every term are degenerate, so these bytes do not depend on
-        # numpy's generator.  Any change to them is a change of output.
+        # of every term are degenerate, so these bytes do not depend on the
+        # random stream; only the rng_contract field names its version.
+        # Any change to them is a change of output.
         path = tmp_path / "all.json"
         code = cli.main(["all", "--json", "--seed", "0", "--out", str(path)])
         assert code == 0
@@ -143,7 +144,7 @@ class TestAll:
 
 class TestSubcommandBytes:
     # Written by `avnlab COMMAND [--json] --out FILE`.  These reports do not
-    # depend on the seed or on numpy's generator, so any change to their
+    # depend on the seed or on the random stream, so any change to their
     # bytes is a change of output.
     @pytest.mark.parametrize("command", ["verify", "lhv", "ks"])
     @pytest.mark.parametrize("suffix, options", [("json", ["--json"]), ("txt", [])])
@@ -171,6 +172,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"error: shots must be at most {2**63 - 1}\n" in err
         assert "Traceback" not in err
+
+    def test_negative_seed_exits_64(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--seed", "-5"])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: avnlab")
+        assert captured.err.endswith("\nerror: seed must be non-negative\n")
+        assert captured.err.count("error:") == 1
+
+    def test_seed_of_two_to_the_128_runs(self, capsys):
+        code, out = run(["simulate", "--shots", "1000", "--seed", str(2**128),
+                         "--visibility", "0.9", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == 2**128
 
     def test_out_of_range_visibility_exits_64(self):
         with pytest.raises(SystemExit) as exc:

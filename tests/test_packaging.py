@@ -99,6 +99,22 @@ def test_public_api_is_pinned():
     assert set(avnlab.__all__) <= namespace.keys()
 
 
+def _run_python(code: str) -> str:
+    """stdout of `python -c code` in a fresh process that imports avnlab
+    from this checkout."""
+    path = str(ROOT / "src")
+    if os.environ.get("PYTHONPATH"):
+        path += os.pathsep + os.environ["PYTHONPATH"]
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return result.stdout
+
+
 def test_import_builds_no_cached_work():
     # Every CLI process pays for what import builds, so the caches of the
     # certificate path must fill on first use, not at import.
@@ -110,14 +126,18 @@ def test_import_builds_no_cached_work():
         "               states._stacked_action):\n"
         "    print(cached.cache_info().currsize)\n"
     )
-    path = str(ROOT / "src")
-    if os.environ.get("PYTHONPATH"):
-        path += os.pathsep + os.environ["PYTHONPATH"]
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
+    assert _run_python(code).split() == ["0"] * 7
+
+
+def test_simulator_draws_from_the_standard_library():
+    # numpy.random would bring secrets, hmac and OpenSSL's _hashlib into
+    # every CLI process; the simulator's substreams and draws need none.
+    assert _third_party_imports(ROOT / "src" / "avnlab", "simulate.py") == set()
+    code = (
+        "import os, sys\n"
+        "from avnlab import cli\n"
+        "code = cli.main(['all', '--json', '--out', os.devnull, '--shots', '1000',\n"
+        "                 '--visibility', '0.9', '--efficiency', '0.8'])\n"
+        "print(code, *(m in sys.modules for m in ('numpy.random', '_hashlib')))\n"
     )
-    assert result.stdout.split() == ["0"] * 7
+    assert _run_python(code).split() == ["0", "False", "False"]

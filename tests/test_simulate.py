@@ -1,9 +1,12 @@
 """Monte Carlo estimators: convergence, noise scaling, reproducibility."""
 
+import bisect
 import json
 import math
+import random
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avnlab import cli
 from avnlab.functional import EXPECTED_SIGNS
 from avnlab.simulate import (
     MAX_SHOTS,
@@ -18,6 +22,8 @@ from avnlab.simulate import (
     CorrelationRecord,
     DegenerateRecordError,
     NoiseModel,
+    _binomial,
+    _log_pmf_ratio,
     estimate_F,
     run_experiment,
     term_rng,
@@ -29,6 +35,15 @@ TERM_ESTIMATORS = [
     (9, "yproduct"),
     (9, "bellpairs"),
 ]
+
+
+#: The three public entry points that take a seed.
+SEEDED_CALLS = [
+    lambda seed: run_experiment(1, 10, seed=seed),
+    lambda seed: estimate_F(10, seed=seed),
+    lambda seed: term_rng(seed, 1),
+]
+SEEDED_CALL_IDS = ["run_experiment", "estimate_F", "term_rng"]
 
 
 def within_sigmas(a, b, se_a, se_b=0.0, n_sigma=4.0):
@@ -124,19 +139,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="term_index must be an integer"):
             run_experiment(term_index, 10)
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda seed: run_experiment(1, 10, seed=seed),
-            lambda seed: estimate_F(10, seed=seed),
-            lambda seed: term_rng(seed, 1),
-        ],
-        ids=["run_experiment", "estimate_F", "term_rng"],
-    )
+    @pytest.mark.parametrize("call", SEEDED_CALLS, ids=SEEDED_CALL_IDS)
     @pytest.mark.parametrize("seed", [1.5, 2.0, True, "1", None])
     def test_seed_must_be_an_integer(self, call, seed):
         with pytest.raises(ValueError, match="^seed must be an integer"):
             call(seed)
+
+    @pytest.mark.parametrize("call", SEEDED_CALLS, ids=SEEDED_CALL_IDS)
+    def test_negative_seed_is_a_one_line_value_error(self, call):
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            call(-1)
+
+    def test_seed_of_two_to_the_128_runs(self):
+        report = estimate_F(10, NoiseModel(0.9, 0.8), seed=2**128)
+        assert report["config"]["seed"] == 2**128
+        assert report == estimate_F(10, NoiseModel(0.9, 0.8), seed=2**128)
+        assert report != estimate_F(10, NoiseModel(0.9, 0.8), seed=0)
 
     @pytest.mark.parametrize("term_index", [1.5, True, "1", None])
     def test_substream_term_index_must_be_an_integer(self, term_index):
@@ -269,7 +287,30 @@ class TestEstimateF:
 
     def test_config_names_the_rng_contract(self):
         report = estimate_F(1_000, IDEAL, seed=0)
-        assert report["config"]["rng_contract"] == RNG_CONTRACT == 2
+        assert report["config"]["rng_contract"] == RNG_CONTRACT == 3
+
+    @pytest.mark.parametrize(
+        "rule",
+        ["a", None, True, 1j, [3.0], math.nan, math.inf, -math.inf, -1.0, -1,
+         10**400, Fraction(10**400)],
+    )
+    def test_sigma_rule_must_be_finite_and_non_negative(self, rule):
+        with pytest.raises(ValueError, match="^sigma_rule must be [^\n]*$"):
+            estimate_F(10, sigma_rule=rule)
+
+    def test_numpy_and_fraction_config_is_recorded_as_python_numbers(self):
+        report = estimate_F(
+            np.int64(1000),
+            NoiseModel(np.float64(0.5), Fraction(1, 2)),
+            seed=np.int64(4),
+            sigma_rule=Fraction(3),
+        )
+        config = report["config"]
+        names = ("shots_per_term", "seed", "visibility", "efficiency", "sigma_rule")
+        assert [type(config[k]) for k in names] == [int, int, float, float, float]
+        plain = estimate_F(1000, NoiseModel(0.5, 0.5), seed=4)
+        assert report == plain
+        assert cli._json_text(report) == cli._json_text(plain)
 
     def test_reports_are_bit_for_bit_reproducible(self):
         a = estimate_F(10_000, NoiseModel(0.9, 0.8), seed=7)
@@ -292,3 +333,186 @@ class TestEstimateF:
         for r in report["records"]:
             expected = math.sqrt((1 - r["estimate"] ** 2) / r["shots_retained"])
             assert r["standard_error"] == pytest.approx(expected, abs=1e-15)
+
+
+def binomial_pmf(n, p):
+    """{k: P(K = k)} for K ~ Binomial(n, p), over the k whose mass is at
+    least 1e-17 of the mode's: the ratio f(k + 1) / f(k) = (n - k) p /
+    ((k + 1) q) walked out from the mode, then normalized.  Independent of
+    the sampler's Stirling formula."""
+    q = 1.0 - p
+    mode = math.floor((n + 1) * p)
+    mass = {mode: 1.0}
+    f, k = 1.0, mode
+    while k < n and f > 1e-17:
+        f *= (n - k) * p / ((k + 1) * q)
+        k += 1
+        mass[k] = f
+    f, k = 1.0, mode
+    while k > 0 and f > 1e-17:
+        f *= k * q / ((n - k + 1) * p)
+        k -= 1
+        mass[k] = f
+    total = math.fsum(mass.values())
+    return {k: mass[k] / total for k in sorted(mass)}
+
+
+def chi_square(draws, n, p):
+    """(statistic, degrees of freedom) of `draws` against Binomial(n, p).
+    Consecutive k are merged until each bin expects at least 5 draws; the
+    end bins also take every k outside the table."""
+    edges, expected, pending = [], [], 0.0
+    for k, mass in binomial_pmf(n, p).items():
+        pending += mass * len(draws)
+        if pending >= 5.0:
+            edges.append(k)
+            expected.append(pending)
+            pending = 0.0
+    expected[-1] += pending
+    edges[-1] = n
+    observed = [0] * len(edges)
+    for draw in draws:
+        observed[bisect.bisect_left(edges, draw)] += 1
+    statistic = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    return statistic, len(edges) - 1
+
+
+def chi_square_critical(df, z=4.753):
+    """Wilson-Hilferty upper quantile of chi-square(df) at the standard
+    normal quantile z; z = 4.753 leaves 1e-6 above it."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+def log_pmf_ratio_reference(n, num, den, k):
+    """log(f(k) / f(m)) for the Binomial(n, num/den) pmf f and its mode m,
+    to 60 digits: Stirling's series for each log factorial, whose first
+    omitted term is below 1e-60 at the factorials of 1e9 and more used
+    here; its log(2 pi) / 2 cancels in the ratio."""
+
+    def log_factorial(j):
+        z = Decimal(j + 1)
+        tail = sum(1 / (c * z**e) for c, e in ((12, 1), (-360, 3), (1260, 5), (-1680, 7)))
+        return (z - Decimal("0.5")) * z.ln() - z + tail
+
+    with localcontext() as context:
+        context.prec = 60
+        m = (n + 1) * num // den
+        ratio = log_factorial(m) + log_factorial(n - m) - log_factorial(k) - log_factorial(n - k)
+        return float(ratio + (k - m) * (Decimal(num) / Decimal(den - num)).ln())
+
+
+#: (n, p, draws): inversion (n p < 10), BTRS (n p >= 10), both at their
+#: border, and p > 1/2 reflected onto each.  BTRS accepts most draws in
+#: its squeeze without evaluating the pmf, and an error there (a centre
+#: off by 1/2, say) shows most at small n: 250,000 draws at n p near 10
+#: find that one, 40,000 do not.
+SMALL_POINTS = [
+    (1, 0.3, 40_000), (20, 0.3, 40_000), (1000, 0.0099, 40_000),
+    (20, 0.5, 250_000), (25, 0.41, 250_000), (1000, 0.0101, 40_000),
+    (30, 0.8, 40_000), (60, 0.75, 40_000), (10**5, 0.5, 40_000),
+]
+#: Points of the mc_sweep grid, n = 2e5 eta^m and p+ = (1 -+ V)/2 for
+#: V in {0.7, 0.95}, and the retention draw Binomial(2e5, 0.9^4).
+GRID_POINTS = [
+    (200_000, 0.975, 40_000), (145_800, 0.025, 40_000), (48_020, 0.15, 40_000),
+    (98_000, 0.85, 40_000), (200_000, 0.9**4, 40_000),
+]
+
+
+class TestBinomialSampler:
+    """The exact sampler behind RNG contract 3 against the exact pmf."""
+
+    # Each point draws from a fixed seed.  For a correct sampler and a seed
+    # drawn at random, each test would fail with probability about 1e-6
+    # (14 tests: about 1.4e-5 for the class).
+    @pytest.mark.parametrize("n, p, draws", SMALL_POINTS + GRID_POINTS)
+    def test_matches_the_exact_pmf(self, n, p, draws):
+        rng = random.Random(f"chi-square:{n}:{p}")
+        sample = [_binomial(rng, n, p) for _ in range(draws)]
+        statistic, df = chi_square(sample, n, p)
+        assert statistic < chi_square_critical(df), (statistic, df)
+
+    @pytest.mark.parametrize("n", [1, 7, 10**6, MAX_SHOTS])
+    def test_p_zero_and_one_are_exact_and_draw_nothing(self, n):
+        rng = random.Random(1)
+        state = rng.getstate()
+        assert [_binomial(rng, n, p) for p in (0.0, -0.0, 1.0)] == [0, 0, n]
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("p", [1e-18, 0.3, 0.5, 0.9])
+    def test_draws_at_max_shots(self, p):
+        rng = random.Random(5)
+        draws = [_binomial(rng, MAX_SHOTS, p) for _ in range(200)]
+        sd = math.sqrt(MAX_SHOTS * p * (1 - p))
+        assert all(0 <= k <= MAX_SHOTS for k in draws)
+        assert all(abs(k - MAX_SHOTS * p) <= 8 * sd + 1 for k in draws)
+        # A float holds integers near 2^62 only to a multiple of 1024; the
+        # draws still reach every residue.
+        assert len({k % 4 for k in draws}) == 4
+
+    @pytest.mark.parametrize("n, p", [(25, 0.41), (1000, 0.0101), (5000, 0.5)])
+    def test_log_pmf_ratio_matches_exact_binomials(self, n, p):
+        num, den = p.as_integer_ratio()
+        mode = (n + 1) * num // den
+        sd = math.sqrt(n * p * (1 - p))
+        low, high = max(0, int(mode - 10 * sd)), min(n, int(mode + 10 * sd))
+        for k in range(low, high + 1, max(1, int(sd / 4))):
+            exact = (
+                math.log(math.comb(n, k)) - math.log(math.comb(n, mode))
+                + (k - mode) * math.log(num / (den - num))
+            )
+            assert _log_pmf_ratio(n, num, den, k) == pytest.approx(exact, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.025, 1e-3])
+    def test_log_pmf_ratio_at_max_shots(self, p):
+        # Within +-4 sd of the mode, d = k - m reaches about 6e9 and each
+        # log1p term about 6e9, but the ratio stays within 1e-12 of a
+        # 60-digit reference.
+        n = MAX_SHOTS
+        num, den = p.as_integer_ratio()
+        mode = (n + 1) * num // den
+        sd = math.sqrt(n * p * (1 - p))
+        for t in (-4, -2.5, -1, -0.3, 0.3, 1, 2.5, 4):
+            k = mode + int(t * sd)
+            assert _log_pmf_ratio(n, num, den, k) == pytest.approx(
+                log_pmf_ratio_reference(n, num, den, k), abs=1e-12
+            )
+
+    def test_distinct_keys_give_distinct_streams(self):
+        heads = {
+            (seed, k, e): tuple(term_rng(seed, k, e).random() for _ in range(2))
+            for seed in (0, 1, 10, 2**64)
+            for k in range(1, 10)
+            for e in ("direct", "yproduct", "bellpairs")
+        }
+        assert len(set(heads.values())) == len(heads)
+        assert term_rng(10, 3, "bellpairs").getstate() == term_rng(10, 3, "bellpairs").getstate()
+
+
+class TestContractThreeDraws:
+    """Pinned draws of RNG contract 3: a change to any of these is a change
+    of contract, and RNG_CONTRACT must be bumped with it."""
+
+    def test_substream_head(self):
+        rng = term_rng(0, 1)
+        assert [rng.random(), rng.random()] == [0.9887411358996124, 0.4520562882221242]
+
+    def test_sampler_draws(self):
+        rng = random.Random(2024)
+        points = [(20, 0.3), (25, 0.41), (1000, 0.011), (200_000, 0.975),
+                  (48_020, 0.15), (MAX_SHOTS, 0.5), (MAX_SHOTS, 1e-18)]
+        assert [_binomial(rng, n, p) for n, p in points] == [
+            6, 12, 16, 194955, 7142, 4611686018420212581, 11,
+        ]
+
+    def test_records(self):
+        report = estimate_F(1000, NoiseModel(0.9, 0.8), seed=7)
+        counts = [
+            (r["shots_retained"], round((1 + r["estimate"]) * r["shots_retained"] / 2))
+            for r in report["records"]
+        ]
+        assert counts == [
+            (645, 25), (642, 22), (616, 34), (623, 42), (505, 475),
+            (515, 491), (498, 472), (515, 489), (414, 25),
+        ]
