@@ -157,12 +157,12 @@ def verify_nine_identities(state: states.StateVector, rows=None):
 
 
 def operator_o_check(state: states.StateVector) -> bool:
-    """True iff the signed sum of term operators maps state to 9*state."""
-    import numpy as np
-
+    """True iff the signed sum of term operators maps state to 9*state,
+    entry by entry within NORM_TOL."""
     terms = nine_terms()
     rows = states.images([t.observable for t in terms], state)
-    total = sum(t.sign * row for t, row in zip(terms, rows))
-    return bool(
-        np.all(np.abs(total - QUANTUM_VALUE * state.amplitudes) <= states.NORM_TOL)
+    return all(
+        abs(sum(t.sign * row[c] for t, row in zip(terms, rows)) - QUANTUM_VALUE * a)
+        <= states.NORM_TOL
+        for c, a in enumerate(state.amplitudes)
     )

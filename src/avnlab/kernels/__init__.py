@@ -1,4 +1,5 @@
-"""Exhaustive-enumeration kernels over ±1 assignments, vectorized with numpy.
+"""Exhaustive-enumeration kernels over ±1 assignments, bit-sliced on
+Python ints.
 
 Bit convention: an assignment of `n_vars` ±1 variables is an integer x in
 [0, 2^n_vars), and bit i set means variable i takes the value -1.  A
@@ -8,47 +9,42 @@ parity, i.e. when the product of the values selected by `mask` equals
 
 Caps: `n_vars` in [0, 30], at most 64 constraints, every mask in
 [0, 2^n_vars), and one parity or sign per mask.  Parities are 0 or 1.
-Signs are integer weights whose absolute values sum to at most 2^63 - 1,
-so that every weighted sum fits in int64.  Anything else raises
-ValueError.
+Signs are integer weights whose absolute values sum to at most 2^63 - 1.
+Anything else raises ValueError.
 
-Chunking: assignments are enumerated in chunks of consecutive values.
-With k constraints a chunk holds 2^(16 - ceil(log2 k)) assignments, and
-never more than 2^14.  Chunks have power-of-two size and start at
-multiples of it, so a chunk start s and an offset i share no bits and
-popcount((s + i) & m) = popcount(s & m) + popcount(i & m).  Every chunk is
-therefore the first chunk with row k flipped when popcount(s & masks[k])
-is odd.  Within the first chunk, an offset's column of parity bits
-(popcount(i & masks[k]) & 1 over k) is all that the kernels read, and few
-columns are distinct: the 9 LHV and the 10 KS constraints give 256 of
-4096.  The distinct columns are found once per (masks, n_vars), by packing
-each column into one integer syndrome (bit k for constraint k), and kept,
-read-only, in a small bounded cache together with the smallest offset and
-the number of offsets that have each (at most 128 KB per entry).  Each
-distinct column is evaluated once per chunk and weighted by its count, so
-every assignment is still counted exactly once, and its smallest offset
-gives the smallest witness.  The flips of many chunks are applied in one
-batched operation, in groups whose (chunks x max(k, 8) x columns)
-product stays within 2^16 entries.  When all 2^n_vars assignments fit in
-one chunk, as for every local bound, max-parity flips nothing and is one
-product of the signs with the cached columns.
+Bit layout: assignments run in windows of W = 2^min(n_vars, 16).  In a
+window, a "plane" is one W-bit int: bit x of variable i's plane is bit i
+of assignment x, and a constraint's plane, the XOR of its variables'
+planes, marks where its product is -1.  A ripple-carry adder sums the
+constraint planes into a bit-sliced counter, whose plane j holds bit j of
+every assignment's sum.  A window start s (a multiple of W) and an offset
+share no bits, so popcount((s + i) & m) = popcount(s & m) +
+popcount(i & m): each window is the first with constraint k's plane
+complemented when popcount(s & masks[k]) is odd, and each distinct set of
+complements is evaluated once.  Memory per call: at most 8 KB per plane
+for the 16 variable planes, one constraint plane and the counter's
+bit_length(sum of |weights|) planes: under 300 KB for a histogram, and up
+to 750 KB for max-parity weights near 2^63.
 """
 
-import functools
 import operator
 
-import numpy as np
-
-BACKEND = "numpy"
+BACKEND = "bitslice"
 
 _MAX_VARS = 30
 _MAX_CONSTRAINTS = 64
 _MAX_WEIGHT = 2**63 - 1
-_BLOCK_BITS = 16
-_CHUNK_BITS = 14
-# At most 2^16 bits of columns and 2^15 uint16 per entry, so the cache
-# holds at most 2 MB.
-_CACHED_BLOCKS = 16
+_WINDOW_BITS = 16
+
+# Plane of variable i over the widest window: runs of 2^i zeros then 2^i
+# ones, 8 KB each; a narrower window keeps their low bits.
+_PLANES = []
+for _i in range(_WINDOW_BITS):
+    _plane, _period = ((1 << (1 << _i)) - 1) << (1 << _i), 2 << _i
+    while _period < 1 << _WINDOW_BITS:
+        _plane |= _plane << _period
+        _period *= 2
+    _PLANES.append(_plane)
 
 
 def _validated(masks, coefficients, n_vars):
@@ -59,64 +55,57 @@ def _validated(masks, coefficients, n_vars):
         raise ValueError(f"masks must be integers, got {masks}") from None
     coefficients = list(coefficients)
     if len(masks) != len(coefficients):
-        raise ValueError(
-            f"{len(masks)} masks but {len(coefficients)} parities or signs"
-        )
+        raise ValueError(f"{len(masks)} masks but {len(coefficients)} parities or signs")
     if type(n_vars) is not int:
         raise ValueError(f"n_vars must be an int, got {n_vars!r}")
     if not 0 <= n_vars <= _MAX_VARS:
         raise ValueError(f"n_vars must be in [0, {_MAX_VARS}], got {n_vars}")
     if len(masks) > _MAX_CONSTRAINTS:
-        raise ValueError(
-            f"at most {_MAX_CONSTRAINTS} constraints, got {len(masks)}"
-        )
+        raise ValueError(f"at most {_MAX_CONSTRAINTS} constraints, got {len(masks)}")
     for mask in masks:
         if not 0 <= mask < 1 << n_vars:
             raise ValueError(f"mask {mask} outside [0, 2^{n_vars})")
     return masks, coefficients
 
 
-def _chunk_size(n_constraints, n_vars):
-    """Assignments per chunk, so that a chunk's parity bits over all
-    constraints number at most 2^16."""
-    k_bits = (max(n_constraints, 1) - 1).bit_length()
-    return 1 << min(n_vars, _CHUNK_BITS, _BLOCK_BITS - k_bits)
-
-
-@functools.lru_cache(maxsize=_CACHED_BLOCKS)
-def _first_block(masks, n_vars):
-    """Read-only (odd, first, count) of the first chunk's distinct columns:
-    column j has odd[k, j] = popcount(first[j] & masks[k]) & 1, first[j] is
-    the smallest offset with that column and count[j] the number of
-    offsets with it.  Columns are ordered by first offset."""
-    offsets = np.arange(_chunk_size(len(masks), n_vars), dtype=np.uint32)
-    column = np.array(masks, dtype=np.uint32)[:, None]
-    syndromes = np.zeros(len(offsets), dtype=np.uint64)
-    for k, row in enumerate(np.bitwise_count(offsets & column) & 1):
-        syndromes |= row.astype(np.uint64) << np.uint64(k)
-    # With return_index, unique sorts stably and reports first occurrences.
-    _, first, count = np.unique(syndromes, return_index=True, return_counts=True)
-    # Offsets and counts are at most 2^14, so uint16 holds them.
-    order = np.argsort(first, kind="stable")
-    first, count = first[order].astype(np.uint16), count[order].astype(np.uint16)
-    odd = np.bitwise_count(offsets[first] & column) & 1
-    for array in (odd, first, count):
-        array.flags.writeable = False
-    return odd, first, count
-
-
-def _chunk_flips(masks, n_vars, n_columns):
-    """(starts, flip) per group of consecutive chunks, in ascending order:
-    flip[g, k] = popcount(starts[g] & masks[k]) & 1.  A group's (chunks x
-    max(constraints, 8) x columns) product stays within 2^16, so its
-    tables of 8-byte values per (chunk, column) stay within 64 KB."""
-    size = _chunk_size(len(masks), n_vars)
-    per_group = size * max(1, (1 << _BLOCK_BITS) // (max(len(masks), 8) * n_columns))
-    end = 1 << n_vars
-    column = np.array(masks, dtype=np.uint32)
-    for low in range(0, end, per_group):
-        starts = np.arange(low, min(low + per_group, end), size, dtype=np.uint32)
-        yield starts, np.bitwise_count(starts[:, None] & column) & 1
+def _counters(masks, n_vars, weights, complements):
+    """(start, count, full, counter) per distinct window: counter is the
+    bit-sliced sum over k of weights[k] times constraint k's plane,
+    complemented when complements[k] is true; full is the window's
+    all-ones plane, start the first window that gives this counter and
+    count the number of windows that do.  Starts ascend."""
+    width = min(n_vars, _WINDOW_BITS)
+    full = (1 << (1 << width)) - 1
+    planes = [plane & full for plane in _PLANES[:width]]
+    # Bit k of window h's flip is popcount(h's start & masks[k]) & 1, the
+    # XOR of the columns of h's set bits.
+    flips = [0]
+    for i in range(width, n_vars):
+        column = sum((mask >> i & 1) << k for k, mask in enumerate(masks))
+        flips += [flip ^ column for flip in flips]
+    windows = {}
+    for h, flip in enumerate(flips):
+        start, count = windows.get(flip, (h << width, 0))
+        windows[flip] = (start, count + 1)
+    # Every partial sum is at most sum(weights), so its bits suffice.
+    bits = sum(weights).bit_length()
+    for flip, (start, count) in windows.items():
+        counter = [0] * bits
+        for k, (mask, weight) in enumerate(zip(masks, weights)):
+            plane = full if complements[k] ^ (flip >> k & 1) else 0
+            low = mask & (1 << width) - 1
+            while low:
+                plane ^= planes[(low & -low).bit_length() - 1]
+                low &= low - 1
+            # Ripple-carry add the plane at each set bit of the weight.
+            while weight:
+                bit = weight.bit_length() - 1
+                weight ^= 1 << bit
+                carry = plane
+                while carry:
+                    counter[bit], carry = counter[bit] ^ carry, counter[bit] & carry
+                    bit += 1
+        yield start, count, full, counter
 
 
 def satisfaction_histogram(masks, parities, n_vars):
@@ -129,21 +118,22 @@ def satisfaction_histogram(masks, parities, n_vars):
     for parity in parities:
         if parity not in (0, 1):
             raise ValueError(f"parity {parity} is not 0 or 1")
-    parities = np.array(parities, dtype=np.uint8)
-    odd, _, count = _first_block(masks, n_vars)
-    violated_counts = np.zeros(len(masks) + 1)
-    for _, flip in _chunk_flips(masks, n_vars, len(count)):
-        # For bits, xor is inequality; at most 64 constraints fit in uint8.
-        violated = (odd ^ (flip ^ parities)[:, :, None]).sum(axis=1, dtype=np.uint8)
-        # Column j stands for count[j] assignments of every chunk.  Counts
-        # stay below 2^53, so float weights add them exactly.
-        violated_counts += np.bincount(
-            violated.ravel(),
-            np.broadcast_to(count, violated.shape).ravel(),
-            len(violated_counts),
-        )
+    # A plane complemented by its parity marks where the constraint fails.
+    violated = [0] * (len(masks) + 1)
+    for _, count, full, counter in _counters(masks, n_vars, [1] * len(masks), parities):
+        # Split the window by each counter bit, top down and depth first,
+        # into the assignments that violate exactly v constraints for each
+        # v; at most one pending leaf per counter bit is alive.
+        stack = [(full, len(counter) - 1, 0)]
+        while stack:
+            leaf, bit, value = stack.pop()
+            if leaf and bit < 0:
+                violated[value] += leaf.bit_count() * count
+            elif leaf:
+                stack.append((leaf & counter[bit], bit - 1, value | 1 << bit))
+                stack.append((leaf & (counter[bit] ^ full), bit - 1, value))
     # Exactly v violated is exactly len(masks) - v satisfied.
-    return violated_counts[::-1].astype(np.int64).tolist()
+    return violated[::-1]
 
 
 def max_weighted_parity(masks, signs, n_vars):
@@ -157,39 +147,30 @@ def max_weighted_parity(masks, signs, n_vars):
         signs = [operator.index(sign) for sign in signs]
     except TypeError:
         raise ValueError(f"signs must be integers, got {signs}") from None
-    if sum(abs(sign) for sign in signs) > _MAX_WEIGHT:
+    total = sum(abs(sign) for sign in signs)
+    if total > _MAX_WEIGHT:
         raise ValueError("signs' absolute values sum past 2^63 - 1")
-    total = sum(signs)
-    signs = np.array(signs, dtype=np.int64)
-    odd, first, _ = _first_block(masks, n_vars)
-    # The products below may wrap mod 2^64, but every true value lies
-    # within +-(2^63 - 1), so the wrapped result is exact.
-    if 1 << n_vars == _chunk_size(len(masks), n_vars):
-        # One chunk, which is the first: no row is flipped.  Sum of all
-        # terms minus twice the odd ones, per distinct column.
-        value = signs @ odd
-        value *= -2
-        value += total
-        # Columns are ordered by first offset, so the first maximum is
-        # the smallest attaining assignment.
-        j = int(value.argmax())
-        return int(value[j]), int(first[j])
+    # Term k is +|w| where its plane is clear and -|w| where set, with the
+    # plane complemented for w < 0, so the value is total - 2 * cost, cost
+    # being the sum of |w| over set planes: maximize by minimizing cost.
     best = witness = None
-    for starts, flip in _chunk_flips(masks, n_vars, len(first)):
-        # A flipped row swaps odd and even, which negates that term.
-        weights = np.where(flip, -signs, signs)
-        # Sum of all terms minus twice the odd ones.  einsum casts odd to
-        # int64 in small buffers; a matmul would widen the whole block at
-        # once.
-        value = np.einsum("gk,kj->gj", weights * -2, odd)
-        value += weights.sum(axis=1)[:, None]
-        # Columns are ordered by first offset, so the first maximum in
-        # row-major order is the smallest attaining assignment of the
-        # group, and a later group must be strictly better.
-        g, j = divmod(int(np.argmax(value)), value.shape[1])
-        if best is None or value[g, j] > best:
-            best, witness = int(value[g, j]), int(starts[g]) + int(first[j])
-    return best, witness
+    weights, negative = [abs(sign) for sign in signs], [sign < 0 for sign in signs]
+    for start, _, full, counter in _counters(masks, n_vars, weights, negative):
+        # Top-down minimum: keep the assignments whose cost has a 0 at
+        # each bit when any has one.
+        cost, candidates = 0, full
+        for bit in range(len(counter) - 1, -1, -1):
+            low = candidates & (counter[bit] ^ full)
+            if low:
+                candidates = low
+            else:
+                cost |= 1 << bit
+        # Starts ascend, so only a strictly smaller cost replaces the
+        # smallest witness found so far.
+        if best is None or cost < best:
+            best = cost
+            witness = start + (candidates & -candidates).bit_length() - 1
+    return total - 2 * best, witness
 
 
 __all__ = ["BACKEND", "satisfaction_histogram", "max_weighted_parity"]

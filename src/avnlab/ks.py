@@ -14,6 +14,7 @@ agree.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -206,9 +207,12 @@ def two_pair_state(pair13: str, pair24: str) -> states.StateVector:
         s13, s24 = (_PAIR_STATES[pair][0].amplitudes for pair in (pair13, pair24))
     except KeyError as exc:
         raise ValueError(f"unknown Bell pair {exc.args[0]!r}") from None
-    # Axes (q1, q2, q3, q4): the (1,3) pair on axes 0 and 2, (2,4) on 1 and 3.
-    amps = s13.reshape(2, 1, 2, 1) * s24.reshape(1, 2, 1, 2)
-    return states.StateVector(4, amps.reshape(16))
+    # Qubits (1,3) index s13 and qubits (2,4) index s24.
+    amps = [
+        s13[q1 << 1 | q3] * s24[q2 << 1 | q4]
+        for q1, q2, q3, q4 in itertools.product((0, 1), repeat=4)
+    ]
+    return states.StateVector(4, amps)
 
 
 def eigenfamily_sweep() -> list:

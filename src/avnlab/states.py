@@ -1,28 +1,33 @@
-"""Dense state vectors, Pauli action, expectations and Born-rule tables.
+"""State vectors, Pauli action, expectations and Born-rule tables, on
+tuples of Python complex numbers.
 
 Basis convention: the ket |q1 q2 ... qn> is stored at integer index
 q1*2^(n-1) + ... + qn, i.e. qubit 1 is the most significant bit, matching
 the mask convention of :mod:`avnlab.pauli`.
 
-Pauli strings act in gather form: the image of a family of strings on
-one state is one gather and one multiply, factors * amps[sources], with
-one row per string.  A string's source map and per-amplitude phases
-depend only on the string, so each family's (family x 2^n) arrays are
-built on first use and cached read-only.  `images`, `eigensigns`,
-`expectations` and the Born tables all read that one cache.
+A Pauli string is a signed permutation of the basis: X^x Z^z |b> =
+(-1)^popcount(b & z) |b xor x>, and the Y count folds into its phase.  So
+the image of a state has one entry per nonzero amplitude, factor *
+amplitude, where the factor is one of the string's two complex values;
+zero amplitudes are skipped and their images are 0j.  An expectation sums
+conj(amplitude) * image over every index, left to right, so a NaN in a
+row is never skipped.  A Born probability is math.fsum of |amplitude|^2,
+the correctly rounded sum.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 NORM_TOL = 1e-12
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+#: The factors of a string with phase i^k: for an even, then an odd
+#: z-parity of the source index.
+_FACTORS = tuple(((1j) ** k * 1.0, (1j) ** k * -1.0) for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -30,20 +35,29 @@ class StateVector:
     """Normalized complex amplitude vector over 2^n basis states."""
 
     n_qubits: int
-    amplitudes: np.ndarray = field(repr=False)
+    amplitudes: tuple = field(repr=False)
 
     def __post_init__(self):
         if type(self.n_qubits) is not int:
             raise ValueError(f"n_qubits must be an int, got {self.n_qubits!r}")
-        amps = np.asarray(self.amplitudes, dtype=complex).copy()
-        if amps.shape != (1 << self.n_qubits,):
+        try:
+            if isinstance(self.amplitudes, (str, bytes)):
+                raise TypeError
+            amps = tuple(map(complex, self.amplitudes))
+        except (TypeError, ValueError):
+            raise ValueError("amplitudes must be complex numbers") from None
+        if len(amps) != 1 << self.n_qubits:
             raise ValueError("amplitude vector has wrong length")
-        norm = float(np.vdot(amps, amps).real)
-        # Written so that a NaN norm fails too.
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state not normalized: |amps|^2 = {norm}")
-        amps.flags.writeable = False
+        _check_norm(amps)
         object.__setattr__(self, "amplitudes", amps)
+
+
+def _check_norm(amps):
+    """ValueError unless the squared moduli of `amps` sum to 1."""
+    norm = sum(a.real * a.real + a.imag * a.imag for a in amps)
+    # Written so that a NaN norm fails too.
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"state not normalized: |amps|^2 = {norm}")
 
 
 # -- named states ----------------------------------------------------------
@@ -55,7 +69,7 @@ def build_psi() -> StateVector:
     (|01> - |10>)/sqrt(2) on qubits (1,3) times the same pair state on
     qubits (2,4).
     """
-    amps = np.zeros(16, dtype=complex)
+    amps = [0j] * 16
     amps[0b0011] = 0.5
     amps[0b0110] = -0.5
     amps[0b1001] = -0.5
@@ -65,58 +79,42 @@ def build_psi() -> StateVector:
 
 def bell_phi(sign: int) -> StateVector:
     """(|00> ± |11>)/sqrt(2)."""
-    return StateVector(2, np.array([1, 0, 0, sign]) * _SQRT_HALF)
+    return StateVector(2, [v * _SQRT_HALF for v in (1, 0, 0, sign)])
 
 
 def bell_psi(sign: int) -> StateVector:
     """(|01> ± |10>)/sqrt(2)."""
-    return StateVector(2, np.array([0, 1, sign, 0]) * _SQRT_HALF)
+    return StateVector(2, [v * _SQRT_HALF for v in (0, 1, sign, 0)])
 
 
 # -- operator action -------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _stacked_action(keys: tuple):
-    """Read-only (sources, factors) of a family of Pauli strings in gather
-    form: row k of the images is factors[k] * amps[sources[k]].
-
-    X^x Z^z |b> = (-1)^(z.b) |b xor x>, so the image's amplitude at c is
-    read from source c xor x, with that source's z-parity sign; the Y
-    count folds into the phase.
-    """
-    idx = np.arange(1 << keys[0][0], dtype=np.uint32)
-    sources = np.stack([idx ^ np.uint32(x_mask) for _, x_mask, _, _ in keys])
-    factors = np.stack([
-        (1j) ** ((phase_power + (x_mask & z_mask).bit_count()) % 4)
-        * np.where(np.bitwise_count(source & np.uint32(z_mask)) & 1, -1.0, 1.0)
-        for source, (_, x_mask, z_mask, phase_power) in zip(sources, keys)
-    ])
-    sources.flags.writeable = False
-    factors.flags.writeable = False
-    return sources, factors
+def _actions(ops, n_qubits: int) -> list:
+    """(x_mask, z_mask, even factor, odd factor) of each of a family of
+    Pauli strings, each of which must act on n_qubits qubits."""
+    actions = []
+    for op in ops:
+        if op.n_qubits != n_qubits:
+            raise ValueError("qubit count mismatch")
+        x, z = op.x_mask, op.z_mask
+        actions.append((x, z, *_FACTORS[(op.phase_power + (x & z).bit_count()) % 4]))
+    return actions
 
 
-def _family_action(ops, n_qubits: int):
-    """The cached (sources, factors) of a family of Pauli strings, each of
-    which must act on n_qubits qubits."""
-    keys = tuple((op.n_qubits, op.x_mask, op.z_mask, op.phase_power) for op in ops)
-    if any(key[0] != n_qubits for key in keys):
-        raise ValueError("qubit count mismatch")
-    if not keys:
-        dim = 1 << n_qubits
-        return np.empty((0, dim), dtype=np.uint32), np.empty((0, dim), dtype=complex)
-    return _stacked_action(keys)
-
-
-def images(ops, state: StateVector) -> np.ndarray:
-    """Rows op|state> for each op of a family, each checked like a
-    StateVector."""
-    sources, factors = _family_action(ops, state.n_qubits)
-    rows = factors * state.amplitudes[sources]
-    for norm in np.square(rows.view(float)).sum(axis=1).tolist():
-        # Written so that a NaN norm fails too.
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state not normalized: |amps|^2 = {norm}")
+def images(ops, state: StateVector) -> list:
+    """Rows op|state>, as tuples, for each op of a family; the state's
+    norm is checked once for the family, since each row permutes it."""
+    actions = _actions(ops, state.n_qubits)
+    amps = state.amplitudes
+    support = [(b, a) for b, a in enumerate(amps) if a]
+    if actions:
+        _check_norm([a for _, a in support])
+    rows = []
+    for x, z, even, odd in actions:
+        row = [0j] * len(amps)
+        for b, a in support:
+            row[b ^ x] = (odd if (b & z).bit_count() & 1 else even) * a
+        rows.append(tuple(row))
     return rows
 
 
@@ -129,18 +127,16 @@ def expectations(ops, state: StateVector, rows=None) -> list:
             raise ValueError(f"{op} is not Hermitian")
     if rows is None:
         rows = images(ops, state)
-    amps = state.amplitudes
+    conjugates = [a.conjugate() for a in state.amplitudes]
     values = []
     for row in rows:
-        # One vdot per row: a single matmul would round differently.
-        value = complex(np.vdot(amps, row))
+        value = 0j
+        for conj, entry in zip(conjugates, row):
+            value += conj * entry
         if not abs(value.imag) <= NORM_TOL:
             raise AssertionError(f"expectation has imaginary part {value.imag}")
         values.append(value.real)
     return values
-
-
-_PLUS_MINUS = np.array([[1.0], [-1.0]])
 
 
 def eigensigns(ops, state: StateVector, rows=None) -> list:
@@ -148,12 +144,17 @@ def eigensigns(ops, state: StateVector, rows=None) -> list:
     at that sign, else None; `rows`, when given, are `images(ops, state)`."""
     if rows is None:
         rows = images(ops, state)
-    # Each row's largest distance from +state and from -state, in one
-    # pass over the family; a NaN distance is within NORM_TOL of neither.
-    distances = np.abs(rows[:, None, :] - _PLUS_MINUS * state.amplitudes).max(axis=2)
+    plus = state.amplitudes
+    minus = tuple(-a for a in plus)
+
+    def near(row, target):
+        # Exact equality first; else every entry within NORM_TOL, which a
+        # NaN entry never is.
+        return row == target or all(abs(r - a) <= NORM_TOL for r, a in zip(row, target))
+
     return [
-        +1 if plus <= NORM_TOL else -1 if minus <= NORM_TOL else None
-        for plus, minus in distances.tolist()
+        +1 if near(row, plus) else -1 if near(row, minus) else None
+        for row in map(tuple, rows)
     ]
 
 
@@ -170,18 +171,31 @@ def born_probabilities(factors, state: StateVector) -> dict:
     for f in factors:
         if not f.is_hermitian:
             raise ValueError(f"{f} is not Hermitian")
-    actions = list(zip(*_family_action(factors, state.n_qubits)))
+    actions = _actions(factors, state.n_qubits)
     for a, b in itertools.combinations(factors, 2):
         if not a.commutes(b):
             raise ValueError(f"{a} and {b} do not commute")
 
-    table = {}
-    for outcome in itertools.product((+1, -1), repeat=len(factors)):
-        vec = state.amplitudes
-        for eps, (source, phase) in zip(outcome, actions):
-            vec = 0.5 * (vec + eps * (phase * vec[source]))
-        table[outcome] = float(np.sum(np.abs(vec) ** 2))
+    # Level by level in the order of itertools.product((+1, -1), ...), so
+    # that outcomes sharing a prefix share its projections.
+    level = [((), {c: a for c, a in enumerate(state.amplitudes) if a})]
+    for action in actions:
+        level = [(outcome + (eps,), _project(vec, eps, *action))
+                 for outcome, vec in level for eps in (+1, -1)]
+    table = {
+        outcome: math.fsum(m * m for m in map(abs, vec.values())) for outcome, vec in level
+    }
     total = sum(table.values())
     if not abs(total - 1.0) <= NORM_TOL:
         raise AssertionError(f"Born table sums to {total}")
     return table
+
+
+def _project(vec, eps, x, z, even, odd):
+    """0.5 * (vec + eps * M vec) on the entries that can be nonzero, where
+    (M vec)[c] = factor * vec[c ^ x] and an absent entry is zero."""
+    out = {}
+    for c in vec.keys() | {b ^ x for b in vec}:
+        factor = odd if ((c ^ x) & z).bit_count() & 1 else even
+        out[c] = 0.5 * (vec.get(c, 0j) + eps * (factor * vec.get(c ^ x, 0j)))
+    return out

@@ -1,7 +1,7 @@
 """Shared fixtures and the project's only dense-matrix oracles.
 
 avnlab builds no dense matrix: avnlab.pauli is integer algebra and
-avnlab.states applies strings by bit-mask gathers.  The oracle helpers
+avnlab.states applies strings as signed permutations.  The oracle helpers
 here build matrices straight from the single-qubit Pauli matrices with
 numpy.kron, independently of both, so they can certify them.
 """

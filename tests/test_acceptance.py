@@ -146,7 +146,7 @@ def test_criterion_8_monte_carlo_convergence():
 
 
 def test_criterion_9_noise_threshold():
-    psi = build_psi().amplitudes
+    psi = np.asarray(build_psi().amplitudes)
     rho_pure = np.outer(psi, psi.conj())
     for visibility in (0.0, 0.5, 7 / 9, 1.0):
         rho = visibility * rho_pure + (1 - visibility) * np.eye(16) / 16

@@ -1,15 +1,15 @@
-"""The cached Pauli action and the cached observables and labels.
+"""The Pauli action of whole families and the cached observables and labels.
 
-Each dense application reads a family's (sources, factors) gather arrays
-from one cache instead of rebuilding them, and every image is one row of
-a single gather and multiply.  These tests pin the cached gather, on its
-own and through `images`, the Born tables and the eigensign and
-expectation families, to an uncached scatter copy of the per-operator formula, byte
-for byte, and to the dense-matrix oracle, for every Pauli string on up
-to six qubits.
+`states.images`, `eigensigns`, `expectations` and the Born tables take a
+family of Pauli strings at once.  These tests pin each family result to
+the same function applied one operator at a time, to a scatter copy of the
+per-operator formula (byte for byte wherever the arithmetic is exact), to
+the numpy formulas of `tests/dense_oracle.py` and to the dense-matrix
+oracle, for every Pauli string on up to six qubits.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from avnlab.functional import ExperimentTerm, nine_terms
 from avnlab.pauli import PauliString
 from avnlab.simulate import _measurement_plan
 
+import dense_oracle
 from conftest import basis, oracle_matrix
 
 MAX_QUBITS = 6
@@ -43,20 +44,15 @@ def uncached_apply(op, amps):
     return out
 
 
-def per_op_eigensign(op, state):
-    """Eigenvalue sign of one operator, from the uncached image."""
-    image = states.StateVector(op.n_qubits, uncached_apply(op, state.amplitudes))
-    for sign in (+1, -1):
-        distance = np.abs(image.amplitudes - sign * state.amplitudes)
-        if np.all(distance <= states.NORM_TOL):
-            return sign
-    return None
-
-
-def per_op_expectation(op, state):
-    """<state|op|state> of one operator, from the uncached image."""
-    image = states.StateVector(op.n_qubits, uncached_apply(op, state.amplitudes))
-    return complex(np.vdot(state.amplitudes, image.amplitudes)).real
+def same_entries(got, want) -> bool:
+    """Equal as complex numbers, and byte for byte on every nonzero entry:
+    the engine writes 0j where the formula may write a signed zero."""
+    want = [complex(w) for w in want]
+    return list(got) == want and all(
+        (g.real.hex(), g.imag.hex()) == (w.real.hex(), w.imag.hex())
+        for g, w in zip(got, want)
+        if w
+    )
 
 
 def uncached_born_hex(factors, amps):
@@ -133,13 +129,13 @@ class TestCompiledAction:
     @settings(max_examples=150, deadline=None)
     @given(op_and_amplitudes())
     def test_matches_uncached_formula_bytewise(self, case):
-        # One cached row applied as the Born tables apply it, to
-        # unnormalized amplitudes that include signed zeros.
+        # One image of a state whose amplitudes include signed zeros.
         op, amps = case
-        key = (op.n_qubits, op.x_mask, op.z_mask, op.phase_power)
-        sources, factors = states._stacked_action((key,))
-        got = factors[0] * amps[sources[0]]
-        assert got.tobytes() == uncached_apply(op, amps).tobytes()
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        state = states.StateVector(op.n_qubits, amps / norm)
+        got = states.images([op], state)[0]
+        assert same_entries(got, uncached_apply(op, state.amplitudes))
 
     @settings(max_examples=100, deadline=None)
     @given(op_and_amplitudes())
@@ -164,7 +160,8 @@ class TestStackedFamilies:
     @example((NINE + NINE[:3], ks.two_pair_state("phi-", "psi+")))
     def test_eigensigns_match_per_op_code(self, case):
         ops, state = case
-        want = [per_op_eigensign(op, state) for op in ops]
+        want = [dense_oracle.eigensigns([op], state.amplitudes)[0] for op in ops]
+        assert [states.eigensigns([op], state)[0] for op in ops] == want
         assert states.eigensigns(ops, state) == want
         assert states.eigensigns(ops, state, rows=states.images(ops, state)) == want
 
@@ -176,19 +173,23 @@ class TestStackedFamilies:
         ops, state = case
         ops = [hermitian(op) for op in ops]
         got = [value.hex() for value in states.expectations(ops, state)]
-        assert got == [per_op_expectation(op, state).hex() for op in ops]
         assert got == [states.expectations([op], state)[0].hex() for op in ops]
         rows = states.images(ops, state)
         assert [value.hex() for value in states.expectations(ops, state, rows)] == got
+        # np.vdot sums in its own order, so only exact sums agree bitwise.
+        want = dense_oracle.expectations(ops, state.amplitudes)
+        assert [float.fromhex(value) for value in got] == pytest.approx(
+            want, rel=0, abs=1e-12
+        )
 
     @settings(max_examples=50, deadline=None)
     @given(families())
     def test_images_match_uncached_formula_bytewise(self, case):
         ops, state = case
         rows = states.images(ops, state)
-        assert [row.tobytes() for row in rows] == [
-            uncached_apply(op, state.amplitudes).tobytes() for op in ops
-        ]
+        assert len(rows) == len(ops)
+        for op, row in zip(ops, rows):
+            assert same_entries(row, uncached_apply(op, state.amplitudes))
 
     @settings(max_examples=50, deadline=None)
     @given(families(), st.data())
@@ -206,7 +207,7 @@ class TestStackedFamilies:
         nan_state = object.__new__(states.StateVector)
         object.__setattr__(nan_state, "n_qubits", n)
         object.__setattr__(
-            nan_state, "amplitudes", np.where(np.arange(1 << n) == 0, np.nan, 0.0) + 0j
+            nan_state, "amplitudes", (complex(np.nan),) + (0j,) * ((1 << n) - 1)
         )
         for call in (states.eigensigns, states.expectations, states.images):
             with pytest.raises(ValueError, match="not normalized"):
@@ -215,28 +216,35 @@ class TestStackedFamilies:
     def test_empty_family(self, psi):
         assert states.eigensigns([], psi) == []
         assert states.expectations([], psi) == []
-        assert states.images([], psi).shape == (0, 16)
+        assert states.images([], psi) == []
         assert states.born_probabilities([], psi) == {(): pytest.approx(1.0)}
 
-    def test_stacked_arrays_are_read_only(self):
-        sources, factors = states._stacked_action(((3, 0b101, 0b011, 1), (3, 0, 0b110, 0)))
-        assert sources.shape == factors.shape == (2, 8)
-        assert sources.dtype == np.uint32
-        with pytest.raises(ValueError):
-            sources[0, 0] = 1
-        with pytest.raises(ValueError):
-            factors[0, 0] = 1.0
+    def test_rows_and_amplitudes_are_immutable(self, psi):
+        rows = states.images([PauliString(4, 0b0101, 0b0011, 0), NINE[0]], psi)
+        assert [len(row) for row in rows] == [16, 16]
+        for value in (rows[0], rows[1], psi.amplitudes):
+            with pytest.raises(TypeError):
+                value[0] = 1.0
 
-    def test_stacked_cache_is_bounded(self, psi):
-        maxsize = states._stacked_action.cache_info().maxsize
-        assert maxsize is not None
-        for x in range(maxsize + 40):
-            family = [PauliString(4, x % 16, x // 16, 0), PauliString(4, 0, 0, 0)]
-            # Every reader of the one cache: images and Born tables.
-            states.images(family, psi)
-            states.images(family[:1], psi)
-            states.born_probabilities(family, psi)
-        assert states._stacked_action.cache_info().currsize <= maxsize
+    def test_repeated_families_stay_within_a_memory_bound(self, psi):
+        # Nothing is kept between calls, so many distinct families cost no
+        # more memory than one.
+        def run(count):
+            for x in range(count):
+                family = [PauliString(4, x % 16, x // 16 % 16, 0), PauliString(4, 0, 0, 0)]
+                states.images(family, psi)
+                states.images(family[:1], psi)
+                states.born_probabilities(family, psi)
+
+        run(8)
+        tracemalloc.start()
+        try:
+            run(300)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 16 * 1024
+        assert peak < 64 * 1024
 
 
 class TestProductsAgainstDenseOracle:

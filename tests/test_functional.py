@@ -109,7 +109,8 @@ class TestOperatorO:
     def test_eigenvalue_nine(self, psi):
         assert operator_o_check(psi)
         assert np.allclose(
-            dense_operator_sum() @ psi.amplitudes, 9 * psi.amplitudes, atol=1e-12
+            dense_operator_sum() @ psi.amplitudes, 9 * np.asarray(psi.amplitudes),
+            atol=1e-12,
         )
 
     def test_quantum_value_nine(self, psi):

@@ -1,4 +1,4 @@
-"""The numpy enumeration kernels against the brute-force oracle."""
+"""The bit-sliced enumeration kernels against the brute-force oracle."""
 
 import tracemalloc
 
@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import kernel_oracle as oracle
 from avnlab import cli, kernels, ks, lhv
 from avnlab.functional import BellFunctional
+
+from test_ks import _scribble
 
 KERNELS = [kernels.satisfaction_histogram, kernels.max_weighted_parity]
 
@@ -34,7 +36,7 @@ def systems(draw, max_vars=16, max_constraints=6, min_vars=0):
 
 @st.composite
 def one_chunk_systems(draw):
-    """(masks, signs, n_vars) whose 2^n_vars assignments fit in one chunk,
+    """(masks, signs, n_vars) whose 2^n_vars assignments fit in one window,
     with weights in [-3, 3] and up to two of magnitude near 2^62."""
     n_vars = draw(st.integers(0, 12))
     max_constraints = 64 if n_vars <= 10 else 1 << (16 - n_vars)
@@ -108,10 +110,10 @@ class TestBackendAgreement:
         assert result == oracle.max_weighted_parity(masks, signs, n_vars)
         assert all(type(v) is int for v in result)
 
-    # Every chunk after the first is the first chunk's cached block with
-    # rows flipped, so the property runs over many chunks: at k = 1, 9 and
-    # 64 a chunk holds 2^14, 2^12 and 2^10 assignments.  The oracle's cost
-    # grows as (k + 1) * 2^n_vars, which keeps k small at large n_vars.
+    # Every window after the first is the first window with constraint
+    # planes complemented, so the property runs over several windows of
+    # 2^16 assignments once n_vars > 16.  The oracle's cost grows as
+    # (k + 1) * 2^n_vars, which keeps k small at large n_vars.
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(0, 20).flatmap(
@@ -122,12 +124,13 @@ class TestBackendAgreement:
             )
         )
     )
-    # Masks only above the chunk bits: the first block is all even and
-    # every bit comes from the per-chunk flips.
+    # Masks only above the window bits: the first window's planes are
+    # empty and every bit comes from the per-window complements.
+    @example(([1 << 17, 1 << 16, 1 << 17 | 1 << 16], [1, 0, 1], [-1, 2, -1], 18))
     @example(([1 << 17 | 1 << 14, 1 << 16, 1 << 15], [1, 0, 1], [-1, 2, -1], 18))
     @example(([(i % 7 + 1) << 10 for i in range(64)], [i % 2 for i in range(64)],
               [(-1) ** i * (i % 3) for i in range(64)], 13))
-    # Masks only below the chunk bits: every flip is 0.
+    # Masks only below the window bits: no window is complemented.
     @example(([0b1011, 1 << 13], [1, 1], [1, -1], 18))
     @example(([(i * 37) % 1024 for i in range(64)], [i % 2 for i in range(64)],
               [(-1) ** i for i in range(64)], 13))
@@ -141,10 +144,10 @@ class TestBackendAgreement:
             masks, signs, n_vars
         ) == oracle.max_weighted_parity(masks, signs, n_vars)
 
-    # When every assignment fits in one chunk, as for the 12-variable local
-    # bounds, max-parity is one product over the cached columns.  Weights
-    # near +-2^62 wrap int64 in the middle of it, and small or repeated
-    # weights make ties that the smallest witness must break.
+    # When every assignment fits in one window, as for the 12-variable
+    # local bounds, max-parity is one bit-sliced minimum.  Weights near
+    # +-2^62 carry through 63 counter bits, and small or repeated weights
+    # make ties that the smallest witness must break.
     @settings(max_examples=80, deadline=None)
     @given(one_chunk_systems())
     @example(([0b011, 0b110], [-(2**62 - 2**9)] * 2, 3))
@@ -157,14 +160,13 @@ class TestBackendAgreement:
     @example(([], [], 0))
     def test_one_chunk_matches_oracle(self, system):
         masks, signs, n_vars = system
-        assert 1 << n_vars == kernels._chunk_size(len(masks), n_vars)
         result = kernels.max_weighted_parity(masks, signs, n_vars)
         assert result == oracle.max_weighted_parity(masks, signs, n_vars)
         assert all(type(v) is int for v in result)
 
-    # The chunk shrinks as constraints are added (2^14, 2^12 and 2^10
-    # assignments at k = 1, 9 and 64), so padding with zero-weight
-    # constraints moves the block boundaries the witness must cross.
+    # At 17 variables there are two windows of 2^16 assignments, and
+    # padding with zero-weight constraints changes which windows share a
+    # set of complemented constraints; the witness must cross them.
     @pytest.mark.parametrize("k", [1, 9, 64])
     @pytest.mark.parametrize(
         "masks, signs, expected",
@@ -246,8 +248,7 @@ class TestValidation:
         assert result == (2**63 - 1, 0)
 
     # Mixed signs whose absolute values sum to 2^63 - 1 over distinct masks:
-    # twice a partial sum overflows int64 in the middle of the kernel's
-    # arithmetic, and the wrapped result must still be exact.
+    # the bit-sliced cost reaches 63 bits, and the result must be exact.
     @pytest.mark.parametrize(
         "masks, signs",
         [
@@ -266,14 +267,15 @@ class TestValidation:
 
 
 class TestMemory:
-    """Each chunk is one (constraints x chunk) block of at most 2^16 parity
-    bits, so the working set stays small whatever the problem size."""
+    """Planes are one window of at most 2^16 bits and constraint planes are
+    made one at a time, so the working set stays small whatever the
+    problem size."""
 
     LIMIT = 512 * 1024
 
     @staticmethod
     def peak_bytes(masks, parities, n_vars):
-        # The first call in a process allocates numpy's lazily built state.
+        # A first call leaves nothing behind that the second would reuse.
         kernels.satisfaction_histogram(masks, parities, n_vars)
         tracemalloc.start()
         try:
@@ -294,76 +296,76 @@ class TestMemory:
         assert peak < self.LIMIT
 
     def test_one_constraint_histogram(self):
-        # Few constraints would allow long chunks; chunks stop at 2^14.
+        # Windows stop at 2^16 assignments whatever the constraint count.
         assert self.peak_bytes([0b1011], [1], 20) < self.LIMIT
 
 
-class TestBlockCache:
-    """The distinct columns of each (masks, n_vars) are found once and
-    shared."""
+class TestKernelContracts:
+    """What callers may rely on: results that belong to the caller, exact
+    answers at the constraint cap, memory that does not grow from run to
+    run, and the number of kernel calls per certificate."""
 
-    def test_blocks_are_read_only(self):
-        cached = kernels._first_block((0b011, 0b110), 3)
-        assert len(cached) == 3
-        for array in cached:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
+    def test_mutating_results_leaves_the_next_certificate_unchanged(self, tmp_path):
+        out = tmp_path / "all.json"
+        args = ["all", "--shots", "1000", "--json", "--out", str(out)]
+        assert cli.main(args) == 0
+        before = out.read_bytes()
+        lhv_system = lhv.constraints_for(BellFunctional.canonical())
+        ks_system = ks.parity_system(ks.KsTable.canonical())
+        for system in (lhv_system, ks_system):
+            _scribble(kernels.satisfaction_histogram(system.masks, system.parities,
+                                                     system.n_vars))
+            _scribble(system.prove())
+        _scribble(lhv.certificate())
+        _scribble(ks.certificate())
+        assert cli.main(args) == 0
+        assert out.read_bytes() == before
 
-    # A chunk's k x size block holds at most 2^16 bits, so the scan stays
-    # small at any of these sizes.
     @settings(max_examples=40, deadline=None)
-    @given(systems(max_vars=16, max_constraints=64))
+    @given(systems(max_vars=10, max_constraints=64))
     @example(([], [], [], 0))
-    @example(([], [], [], 18))
-    @example(([1 << 15, 3], [0, 0], [0, 0], 16))
+    @example(([1 << 9, 3], [0, 0], [0, 0], 10))
     @example(([0b1111] * 3, [0] * 3, [0] * 3, 4))
-    def test_columns_match_a_scan_of_the_first_chunk(self, system):
-        masks, _, _, n_vars = system
-        odd, first, count = kernels._first_block(tuple(masks), n_vars)
-        k_bits = (max(len(masks), 1) - 1).bit_length()
-        size = 1 << min(n_vars, 14, 16 - k_bits)
-        offsets = {}
-        for i in range(size):
-            column = tuple((i & mask).bit_count() & 1 for mask in masks)
-            offsets.setdefault(column, []).append(i)
-        columns = [tuple(int(bit) for bit in odd[:, j]) for j in range(odd.shape[1])]
-        assert odd.shape == (len(masks), len(offsets))
-        assert len(set(columns)) == len(columns)
-        assert int(count.sum()) == size
-        assert [(offsets[c][0], len(offsets[c])) for c in columns] == list(
-            zip(first.tolist(), count.tolist())
-        )
-        assert first.tolist() == sorted(first.tolist())
-
-    def test_cache_stays_bounded(self):
-        maxsize = kernels._first_block.cache_info().maxsize
-        assert maxsize is not None
-        systems = [([m, m >> 1], [1, 0], 8) for m in range(3, maxsize + 13)]
-        for masks, parities, n_vars in systems:
-            kernels.satisfaction_histogram(masks, parities, n_vars)
-        assert kernels._first_block.cache_info().currsize == maxsize
-        # An evicted system is rebuilt and still exact.
-        masks, parities, n_vars = systems[0]
+    @example(([(i * 37) % 1024 for i in range(64)], [i % 2 for i in range(64)],
+              [(-1) ** i for i in range(64)], 10))
+    def test_up_to_64_constraints_match_oracle(self, system):
+        masks, parities, signs, n_vars = system
         assert kernels.satisfaction_histogram(
             masks, parities, n_vars
         ) == oracle.satisfaction_histogram(masks, parities, n_vars)
+        assert kernels.max_weighted_parity(
+            masks, signs, n_vars
+        ) == oracle.max_weighted_parity(masks, signs, n_vars)
 
-    def test_one_all_run_builds_two_blocks(self, tmp_path):
-        # Two histograms and 18 local bounds; the 9-mask LHV block serves
-        # the LHV histogram and all 18 bounds, the 10-mask block the KS one.
-        kernels._first_block.cache_clear()
+    def test_repeated_all_runs_stay_within_a_memory_bound(self, tmp_path):
+        # Nothing is kept from one run to the next.  What stays allocated
+        # is the interpreter's free lists, which stop growing at about
+        # 530 KB; a leak of 8 KB per run would pass 768 KB.
+        args = ["all", "--shots", "1000", "--json", "--out", str(tmp_path / "all.json")]
+        assert cli.main(args) == 0
+        tracemalloc.start()
+        try:
+            for _ in range(30):
+                assert cli.main(args) == 0
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 768 * 1024
+        assert peak < 1536 * 1024
+
+    def test_one_all_run_makes_two_histograms_and_18_bounds(self, tmp_path, monkeypatch):
+        # The LHV and KS histograms, and the canonical and 17 sweep bounds.
+        calls = []
+        for name in ("satisfaction_histogram", "max_weighted_parity"):
+            kernel = getattr(kernels, name)
+            monkeypatch.setattr(
+                kernels, name,
+                lambda *args, _name=name, _kernel=kernel: calls.append(_name) or _kernel(*args),
+            )
         out = tmp_path / "all.json"
         assert cli.main(["all", "--shots", "1000", "--json", "--out", str(out)]) == 0
-        info = kernels._first_block.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (2, 2, 18)
-        lhv_system = lhv.constraints_for(BellFunctional.canonical())
-        ks_system = ks.parity_system(ks.KsTable.canonical())
-        assert (len(lhv_system.masks), len(ks_system.masks)) == (9, 10)
-        for system in (lhv_system, ks_system):
-            kernels._first_block(system.masks, system.n_vars)
-        info = kernels._first_block.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (2, 2, 20)
+        assert calls.count("satisfaction_histogram") == 2
+        assert calls.count("max_weighted_parity") == 18
 
 
 class TestParitySystem:
@@ -392,4 +394,4 @@ class TestParitySystem:
 
 class TestBackendSelection:
     def test_default_backend_is_named(self):
-        assert kernels.BACKEND == "numpy"
+        assert kernels.BACKEND == "bitslice"

@@ -319,7 +319,7 @@ class TestVisibilityThreshold:
 
     @pytest.mark.parametrize("visibility", [0.0, 0.5, 7 / 9, 1.0])
     def test_werner_scaling_by_density_matrix_oracle(self, visibility):
-        psi = build_psi().amplitudes
+        psi = np.asarray(build_psi().amplitudes)
         rho = visibility * np.outer(psi, psi.conj()) + (1 - visibility) * np.eye(16) / 16
         value = sum(
             t.sign * np.trace(rho @ oracle_matrix(t.observable)).real

@@ -1,8 +1,8 @@
 """Packaging metadata: the version is written once, in avnlab/__init__.py,
-every third-party module the tests import is a declared dependency, the
-Pauli algebra and the hidden-variable proofs need no third-party module,
-the public API is pinned, and importing the CLI builds none of the cached
-work."""
+every third-party module the tests import is a declared dependency, no
+module of the package imports a third-party module and no command loads
+numpy, the public API is pinned, and importing the CLI builds none of the
+cached work."""
 
 import ast
 import os
@@ -72,11 +72,17 @@ def test_test_imports_are_declared():
     assert imported - declared == set()
 
 
-@pytest.mark.parametrize("module", ["pauli.py", "lhv.py"])
+MODULES = sorted(
+    path.relative_to(ROOT / "src" / "avnlab").as_posix()
+    for path in (ROOT / "src" / "avnlab").rglob("*.py")
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_integer_algebra_imports_only_the_standard_library(module):
-    # Pauli-string algebra and the hidden-variable proofs are exact integer
-    # arithmetic; dense matrices and sampling oracles live in the tests.
-    assert (ROOT / "src" / "avnlab" / module).is_file()
+    # Every module runs on the standard library; numpy, dense matrices and
+    # sampling oracles live in the tests.
+    assert {"pauli.py", "lhv.py", "states.py", "kernels/__init__.py"} <= set(MODULES)
     assert _third_party_imports(ROOT / "src" / "avnlab", module) == set()
 
 
@@ -120,13 +126,12 @@ def test_import_builds_no_cached_work():
     # certificate path must fill on first use, not at import.
     code = (
         "import avnlab.cli\n"
-        "from avnlab import kernels, ks, lhv, states\n"
-        "for cached in (kernels._first_block, ks.two_pair_state, lhv._masks,\n"
-        "               ks._line_checks, ks.parity_system, avnlab.cli.build_parser,\n"
-        "               states._stacked_action):\n"
+        "from avnlab import ks, lhv\n"
+        "for cached in (ks.two_pair_state, lhv._masks, ks._line_checks,\n"
+        "               ks.parity_system, avnlab.cli.build_parser):\n"
         "    print(cached.cache_info().currsize)\n"
     )
-    assert _run_python(code).split() == ["0"] * 7
+    assert _run_python(code).split() == ["0"] * 5
 
 
 def test_simulator_draws_from_the_standard_library():
@@ -141,3 +146,16 @@ def test_simulator_draws_from_the_standard_library():
         "print(code, *(m in sys.modules for m in ('numpy.random', '_hashlib')))\n"
     )
     assert _run_python(code).split() == ["0", "False", "False"]
+
+
+@pytest.mark.parametrize("command", ["verify", "lhv", "ks", "simulate", "all"])
+def test_no_command_loads_numpy(command):
+    # numpy is a test dependency only: importing it would cost every CLI
+    # process more than half of its run time.
+    code = (
+        "import os, sys\n"
+        "from avnlab import cli\n"
+        f"code = cli.main([{command!r}, '--json', '--out', os.devnull])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    assert _run_python(code).split() == ["0", "False"]
