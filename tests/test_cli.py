@@ -153,6 +153,21 @@ class TestSubcommandBytes:
         assert cli.main([command, *options, "--out", str(path)]) == 0
         assert path.read_bytes() == (GOLDEN / f"{command}.{suffix}").read_bytes()
 
+    # Noisy runs, where F - 3 SE falls on either side of the bound 7: at
+    # V = 0.8 F = 7.142 but F - 3 SE = 6.969, so the verdict is false; at
+    # V = 0.9 and eta = 0.8 it is true.  These bytes depend on the random
+    # stream of the current RNG contract.
+    @pytest.mark.parametrize("name, noise", [
+        ("simulate_v0.8_shots1000", ["--visibility", "0.8"]),
+        ("simulate_v0.9_eta0.8_shots1000", ["--visibility", "0.9", "--efficiency", "0.8"]),
+    ])
+    @pytest.mark.parametrize("suffix, options", [("json", ["--json"]), ("txt", [])])
+    def test_noisy_simulate_matches_golden_bytes(self, name, noise, suffix, options, tmp_path):
+        path = tmp_path / f"{name}.{suffix}"
+        argv = ["simulate", *options, "--seed", "0", *noise, "--shots", "1000"]
+        assert cli.main([*argv, "--out", str(path)]) == 0
+        assert path.read_bytes() == (GOLDEN / f"{name}.{suffix}").read_bytes()
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_64(self):
