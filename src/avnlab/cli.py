@@ -237,7 +237,7 @@ def _render_text(report, command) -> str:
         witness = "".join("-" if report["witness"][k] < 0 else "+" for k in report["id_order"])
         lines.append(f"  witness ({' '.join(report['id_order'])}): {witness}")
     elif command == "ks":
-        lines.append(ks.render_table(ks.KsTable.canonical(), report["structure"]))
+        lines.append(ks.render_table(ks.KsTable.canonical()))
         c = report["contradiction"]
         lines.append(f"  parity product: {c['parity_product']}")
         lines.append(

@@ -9,7 +9,7 @@ flattening a term multiplies everything into a single Pauli string.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 
 from . import states
 from .pauli import PauliString, parse
@@ -66,13 +66,9 @@ class ExperimentTerm:
         return f"{alice}·{bob}"
 
 
-@lru_cache(maxsize=256)
 def _checked_observable(alice_factors: tuple, bob_factors: tuple) -> tuple:
     """(product, labels) of a term's factors, after checking their
-    Hermiticity, support and pairwise commutation.  Both are done once per
-    distinct pair of factor tuples, so terms that differ only in sign skip
-    the checks and share one observable.  A failed check raises and is not
-    cached."""
+    Hermiticity, support and pairwise commutation."""
     for f in alice_factors:
         if not (f.is_hermitian and f.supported_on(ALICE_QUBITS)):
             raise ValueError(f"bad Alice factor {f}")

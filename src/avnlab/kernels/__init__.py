@@ -8,9 +8,9 @@ parity, i.e. when the product of the values selected by `mask` equals
 (-1)^parity.
 
 Caps: `n_vars` in [0, 30], at most 64 constraints, every mask in
-[0, 2^n_vars), and one parity or sign per mask.  Parities are 0 or 1.
-Signs are integer weights whose absolute values sum to at most 2^63 - 1.
-Anything else raises ValueError.
+[0, 2^n_vars), and one parity or sign per mask.  Parities are the
+integers 0 or 1 and signs the integers +1 or -1.  Anything else raises
+ValueError.
 
 Bit layout: assignments run in windows of W = 2^min(n_vars, 16).  In a
 window, a "plane" is one W-bit int: bit x of variable i's plane is bit i
@@ -23,8 +23,7 @@ popcount(i & m): each window is the first with constraint k's plane
 complemented when popcount(s & masks[k]) is odd, and each distinct set of
 complements is evaluated once.  Memory per call: at most 8 KB per plane
 for the 16 variable planes, one constraint plane and the counter's
-bit_length(sum of |weights|) planes: under 300 KB for a histogram, and up
-to 750 KB for max-parity weights near 2^63.
+bit_length(number of constraints) <= 7 planes: under 300 KB.
 """
 
 import operator
@@ -33,7 +32,6 @@ BACKEND = "bitslice"
 
 _MAX_VARS = 30
 _MAX_CONSTRAINTS = 64
-_MAX_WEIGHT = 2**63 - 1
 _WINDOW_BITS = 16
 
 # Plane of variable i over the widest window: runs of 2^i zeros then 2^i
@@ -47,13 +45,16 @@ for _i in range(_WINDOW_BITS):
     _PLANES.append(_plane)
 
 
-def _validated(masks, coefficients, n_vars):
-    """Masks as a tuple of ints and coefficients as a list, or ValueError."""
+def _validated(masks, coefficients, n_vars, name, allowed):
+    """Masks as a tuple of ints and `name` coefficients as ints from the pair `allowed`."""
     try:
         masks = tuple(operator.index(mask) for mask in masks)
     except TypeError:
         raise ValueError(f"masks must be integers, got {masks}") from None
-    coefficients = list(coefficients)
+    try:
+        coefficients = [operator.index(value) for value in coefficients]
+    except TypeError:
+        raise ValueError(f"{name} values must be integers, got {coefficients}") from None
     if len(masks) != len(coefficients):
         raise ValueError(f"{len(masks)} masks but {len(coefficients)} parities or signs")
     if type(n_vars) is not int:
@@ -65,15 +66,17 @@ def _validated(masks, coefficients, n_vars):
     for mask in masks:
         if not 0 <= mask < 1 << n_vars:
             raise ValueError(f"mask {mask} outside [0, 2^{n_vars})")
+    if not set(coefficients) <= set(allowed):
+        raise ValueError(f"{name} values must be {allowed[0]} or {allowed[1]}, got {coefficients}")
     return masks, coefficients
 
 
-def _counters(masks, n_vars, weights, complements):
+def _counters(masks, n_vars, complements):
     """(start, count, full, counter) per distinct window: counter is the
-    bit-sliced sum over k of weights[k] times constraint k's plane,
-    complemented when complements[k] is true; full is the window's
-    all-ones plane, start the first window that gives this counter and
-    count the number of windows that do.  Starts ascend."""
+    bit-sliced sum over k of constraint k's plane, complemented when
+    complements[k] is true; full is the window's all-ones plane, start the
+    first window that gives this counter and count the number of windows
+    that do.  Starts ascend."""
     width = min(n_vars, _WINDOW_BITS)
     full = (1 << (1 << width)) - 1
     planes = [plane & full for plane in _PLANES[:width]]
@@ -87,24 +90,21 @@ def _counters(masks, n_vars, weights, complements):
     for h, flip in enumerate(flips):
         start, count = windows.get(flip, (h << width, 0))
         windows[flip] = (start, count + 1)
-    # Every partial sum is at most sum(weights), so its bits suffice.
-    bits = sum(weights).bit_length()
+    # Every partial sum is at most len(masks), so its bits suffice.
+    bits = len(masks).bit_length()
     for flip, (start, count) in windows.items():
         counter = [0] * bits
-        for k, (mask, weight) in enumerate(zip(masks, weights)):
+        for k, mask in enumerate(masks):
             plane = full if complements[k] ^ (flip >> k & 1) else 0
             low = mask & (1 << width) - 1
             while low:
                 plane ^= planes[(low & -low).bit_length() - 1]
                 low &= low - 1
-            # Ripple-carry add the plane at each set bit of the weight.
-            while weight:
-                bit = weight.bit_length() - 1
-                weight ^= 1 << bit
-                carry = plane
-                while carry:
-                    counter[bit], carry = counter[bit] ^ carry, counter[bit] & carry
-                    bit += 1
+            # Ripple-carry add the plane.
+            bit, carry = 0, plane
+            while carry:
+                counter[bit], carry = counter[bit] ^ carry, counter[bit] & carry
+                bit += 1
         yield start, count, full, counter
 
 
@@ -114,13 +114,10 @@ def satisfaction_histogram(masks, parities, n_vars):
     Returns a list h of length len(masks)+1 where h[k] counts assignments
     satisfying exactly k constraints; sum(h) == 2^n_vars.
     """
-    masks, parities = _validated(masks, parities, n_vars)
-    for parity in parities:
-        if parity not in (0, 1):
-            raise ValueError(f"parity {parity} is not 0 or 1")
+    masks, parities = _validated(masks, parities, n_vars, "parity", (0, 1))
     # A plane complemented by its parity marks where the constraint fails.
     violated = [0] * (len(masks) + 1)
-    for _, count, full, counter in _counters(masks, n_vars, [1] * len(masks), parities):
+    for _, count, full, counter in _counters(masks, n_vars, parities):
         # Split the window by each counter bit, top down and depth first,
         # into the assignments that violate exactly v constraints for each
         # v; at most one pending leaf per counter bit is alive.
@@ -139,23 +136,15 @@ def satisfaction_histogram(masks, parities, n_vars):
 def max_weighted_parity(masks, signs, n_vars):
     """Maximize sum_k signs[k] * prod of the ±1 values selected by masks[k].
 
-    `signs` are integer weights.  Returns (best_value, witness) where
-    witness is the smallest assignment integer attaining best_value.
+    `signs` are +1 or -1.  Returns (best_value, witness) where witness is
+    the smallest assignment integer attaining best_value.
     """
-    masks, signs = _validated(masks, signs, n_vars)
-    try:
-        signs = [operator.index(sign) for sign in signs]
-    except TypeError:
-        raise ValueError(f"signs must be integers, got {signs}") from None
-    total = sum(abs(sign) for sign in signs)
-    if total > _MAX_WEIGHT:
-        raise ValueError("signs' absolute values sum past 2^63 - 1")
-    # Term k is +|w| where its plane is clear and -|w| where set, with the
-    # plane complemented for w < 0, so the value is total - 2 * cost, cost
-    # being the sum of |w| over set planes: maximize by minimizing cost.
+    masks, signs = _validated(masks, signs, n_vars, "sign", (1, -1))
+    # Term k is +1 where its plane is clear and -1 where set, with the
+    # plane complemented for sign -1, so the value is len(masks) - 2 *
+    # cost, cost being the number of set planes: maximize by minimizing it.
     best = witness = None
-    weights, negative = [abs(sign) for sign in signs], [sign < 0 for sign in signs]
-    for start, _, full, counter in _counters(masks, n_vars, weights, negative):
+    for start, _, full, counter in _counters(masks, n_vars, [sign < 0 for sign in signs]):
         # Top-down minimum: keep the assignments whose cost has a 0 at
         # each bit when any has one.
         cost, candidates = 0, full
@@ -170,7 +159,7 @@ def max_weighted_parity(masks, signs, n_vars):
         if best is None or cost < best:
             best = cost
             witness = start + (candidates & -candidates).bit_length() - 1
-    return total - 2 * best, witness
+    return len(masks) - 2 * best, witness
 
 
 __all__ = ["BACKEND", "satisfaction_histogram", "max_weighted_parity"]

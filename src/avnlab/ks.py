@@ -149,15 +149,10 @@ def parity_system(table: KsTable) -> lhv.ParitySystem:
     return lhv.ParitySystem(tuple(masks), tuple(parities), len(index))
 
 
-def prove_ks_contradiction(table: KsTable, structure: dict = None) -> dict:
-    """Noncontextuality impossibility certificate for the table.
-
-    `structure` is the table's `verify_table_structure` report, computed
-    here when not given; a failed structure check raises ValueError.
-    """
-    if structure is None:
-        structure = verify_table_structure(table)
-    if not structure["all_ok"]:
+def prove_ks_contradiction(table: KsTable) -> dict:
+    """Noncontextuality impossibility certificate for the table; a failed
+    structure check raises ValueError."""
+    if not all(ok for *_, ok in _line_checks(table)):
         raise ValueError("table structure check failed")
 
     system = parity_system(table)
@@ -169,12 +164,11 @@ def prove_ks_contradiction(table: KsTable, structure: dict = None) -> dict:
     return proof
 
 
-def render_table(table: KsTable, structure: dict = None) -> str:
-    """Plaintext layout with per-line pass/fail annotations."""
-    if structure is None:
-        structure = verify_table_structure(table)
-    status = {line["line"]: "ok" if line["ok"] else "FAIL" for line in structure["lines"]}
-    width = 10
+def render_table(table: KsTable) -> str:
+    """Plaintext layout with per-line pass/fail annotations, in columns
+    of max(10, longest label + 2) characters."""
+    status = {line: "ok" if ok else "FAIL" for line, *_, ok in _line_checks(table)}
+    width = max([10] + [len(op.label) + 2 for _, _, op in table.cells()])
     rows = []
     for r, row in enumerate(table.grid):
         cells = "".join(
@@ -264,7 +258,7 @@ def certificate() -> dict:
     """JSON-ready report: structure, contradiction, eigenfamily sweep."""
     table = KsTable.canonical()
     structure = verify_table_structure(table)
-    contradiction = prove_ks_contradiction(table, structure)
+    contradiction = prove_ks_contradiction(table)
     sweep = eigenfamily_sweep()
     return {
         "table": [

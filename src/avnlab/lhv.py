@@ -132,25 +132,14 @@ def local_bound(functional: BellFunctional):
     return bound, assignment_from_int(witness)
 
 
-def visibility_threshold(functional: BellFunctional, quantum_value: float) -> Fraction:
-    """Critical visibility L/Q under uniform correlation scaling.
-
-    Werner-type mixing with the maximally mixed state multiplies every
-    term's correlation by the visibility V, because every term observable
-    is traceless; the functional then exceeds the local bound exactly when
-    V > L/Q.  Q is rounded to a fraction with denominator at most 10^6; a
-    non-finite Q raises ValueError and one that rounds to 0 raises
-    ZeroDivisionError.
-    """
-    try:
-        quantum_value = Fraction(quantum_value).limit_denominator(10**6)
-    except (OverflowError, ValueError):
-        # Fraction raises these for infinities and NaN.
-        raise ValueError(f"quantum value {quantum_value} is not finite") from None
-    if quantum_value == 0:
-        raise ZeroDivisionError("quantum value is zero")
+def visibility_threshold(functional: BellFunctional) -> Fraction:
+    """Critical visibility L/Q under uniform correlation scaling, with L the
+    functional's local bound and Q = QUANTUM_VALUE.  Werner-type mixing
+    with the maximally mixed state multiplies every term's correlation by
+    the visibility V, because every term observable is traceless; the
+    functional then exceeds the local bound exactly when V > L/Q."""
     bound, _ = local_bound(functional)
-    return Fraction(bound) / quantum_value
+    return Fraction(bound, QUANTUM_VALUE)
 
 
 def certificate() -> dict:
@@ -158,7 +147,7 @@ def certificate() -> dict:
     functional = BellFunctional.canonical()
     proof = prove_no_valid_assignment(constraints_for(functional))
     bound, witness = local_bound(functional)
-    threshold = visibility_threshold(functional, QUANTUM_VALUE)
+    threshold = visibility_threshold(functional)
     return {
         "id_order": list(ID_ORDER),
         "constraints": [

@@ -36,6 +36,9 @@ RNG_CONTRACT = 3
 #: sampler is tested at the cap.
 MAX_SHOTS = 2**63 - 1
 
+#: Standard errors by which F must exceed the local bound to violate it.
+SIGMA_RULE = 3.0
+
 _ESTIMATOR_CODES = {"direct": 0, "yproduct": 1, "bellpairs": 2}
 
 
@@ -296,24 +299,16 @@ def estimate_F(
     shots_per_term: int,
     noise: NoiseModel = NoiseModel(),
     seed: int = 0,
-    sigma_rule: float = 3.0,
 ) -> dict:
     """Run all nine experiments and aggregate the Bell functional.
 
     F is the signed sum of the nine estimates; its standard error adds in
     quadrature; the violation verdict requires the bound 7 to be exceeded
-    by `sigma_rule` standard errors, a finite non-negative real.  The
-    config records plain ints and floats whatever numeric types were
-    passed.
+    by SIGMA_RULE standard errors.  The config records plain ints and
+    floats whatever numeric types were passed.
     """
     shots_per_term = _integer("shots", shots_per_term)
     seed = _seed(seed)
-    try:
-        rule = float(_real("sigma_rule", sigma_rule))
-    except OverflowError:  # a finite int or Fraction past the largest float
-        rule = math.inf
-    if not 0.0 <= rule < math.inf:
-        raise ValueError(f"sigma_rule must be finite and non-negative, got {sigma_rule!r}")
     records = [
         run_experiment(k, shots_per_term, noise, seed) for k in range(1, 10)
     ]
@@ -326,7 +321,7 @@ def estimate_F(
             "seed": seed,
             "visibility": float(noise.visibility),
             "efficiency": float(noise.detector_efficiency),
-            "sigma_rule": rule,
+            "sigma_rule": SIGMA_RULE,
             "rng_contract": RNG_CONTRACT,
         },
         "records": [record_as_dict(r) for r in records],
@@ -334,7 +329,7 @@ def estimate_F(
         "F_standard_error": f_se,
         "local_bound": LOCAL_BOUND,
         "quantum_value": QUANTUM_VALUE,
-        "violates_local_bound": f_estimate - rule * f_se > LOCAL_BOUND,
+        "violates_local_bound": f_estimate - SIGMA_RULE * f_se > LOCAL_BOUND,
         "noise_model_note": (
             "visibility/efficiency model is a design choice of this artifact; "
             "coincidence post-selection is unbiased for this model only"

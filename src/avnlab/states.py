@@ -46,7 +46,9 @@ class StateVector:
             amps = tuple(map(complex, self.amplitudes))
         except (TypeError, ValueError):
             raise ValueError("amplitudes must be complex numbers") from None
-        if len(amps) != 1 << self.n_qubits:
+        size = len(amps)
+        # Through bit_length: 1 << n_qubits may be huge or a negative shift.
+        if size & (size - 1) or not 0 <= self.n_qubits == size.bit_length() - 1:
             raise ValueError("amplitude vector has wrong length")
         _check_norm(amps)
         object.__setattr__(self, "amplitudes", amps)

@@ -1,4 +1,4 @@
-"""The Pauli action of whole families and the cached observables and labels.
+"""The Pauli action of whole families and the stored observables and labels.
 
 `states.images`, `eigensigns`, `expectations` and the Born tables take a
 family of Pauli strings at once.  These tests pin each family result to
@@ -16,8 +16,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from avnlab import functional, ks, states
-from avnlab.functional import ExperimentTerm, nine_terms
+from avnlab import ks, states
+from avnlab.functional import BellFunctional, ExperimentTerm, nine_terms
 from avnlab.pauli import PauliString
 from avnlab.simulate import _measurement_plan
 
@@ -25,7 +25,6 @@ import dense_oracle
 from conftest import basis, oracle_matrix
 
 MAX_QUBITS = 6
-CACHE_SIZE = 256
 
 PLANS = [(k, "direct") for k in range(1, 10)] + [(9, "yproduct"), (9, "bellpairs")]
 PAIRS = ("phi+", "phi-", "psi+", "psi-")
@@ -255,36 +254,16 @@ class TestProductsAgainstDenseOracle:
         assert np.array_equal(oracle_matrix(a * b), oracle_matrix(a) @ oracle_matrix(b))
 
 
-def _local_hermitian(qubits):
-    """Every Hermitian Pauli string on four qubits supported on `qubits`."""
-    masks = [0]
-    for q in qubits:
-        bit = 1 << (4 - q)
-        masks = [m | extra for m in masks for extra in (0, bit)]
-    return [
-        PauliString(4, x, z, k) for x in masks for z in masks for k in (0, 2)
-    ]
-
-
 class TestCachedObservables:
     def test_sign_copies_share_one_observable(self):
-        for term in nine_terms():
-            flipped = ExperimentTerm(-term.sign, term.alice_factors, term.bob_factors)
-            assert flipped.observable is term.observable
-
-    def test_observable_cache_is_bounded(self):
-        alice = _local_hermitian(functional.ALICE_QUBITS)
-        bob = _local_hermitian(functional.BOB_QUBITS)
-        seen = set()
-        for a, b in itertools.islice(itertools.product(alice, bob), CACHE_SIZE + 40):
-            term = ExperimentTerm(+1, (a,), (b,))
-            assert term.observable == a * b
-            seen.add(term.factors)
-        assert len(seen) > CACHE_SIZE
-        # One per-factor-pair cache holds both the checks and the observables.
-        info = functional._checked_observable.cache_info()
-        assert info.maxsize == CACHE_SIZE
-        assert info.currsize <= CACHE_SIZE
+        # with_signs reuses each term's checked observable; a term built
+        # again from the same factors checks them again and equals it.
+        canonical = nine_terms()
+        flipped = BellFunctional(canonical).with_signs([-t.sign for t in canonical])
+        for term, resigned in zip(canonical, flipped.terms):
+            assert resigned.observable is term.observable
+            rebuilt = ExperimentTerm(-term.sign, term.alice_factors, term.bob_factors)
+            assert (rebuilt.observable, rebuilt.ids) == (term.observable, term.ids)
 
     @settings(max_examples=100, deadline=None)
     @given(paulis())

@@ -75,7 +75,7 @@ class TestTermStructure:
         ],
     )
     def test_bad_factors_raise_on_every_construction(self, alice, bob, reason):
-        # The factor checks are cached per factor pair; a failure must not be.
+        # Nothing is cached between constructions: each one checks and raises.
         alice = tuple(parse(s, 4) for s in alice)
         bob = tuple(parse(s, 4) for s in bob)
         for sign in (+1, -1, +1):

@@ -30,22 +30,18 @@ def systems(draw, max_vars=16, max_constraints=6, min_vars=0):
     k = draw(st.integers(0, max_constraints))
     masks = draw(st.lists(st.integers(0, (1 << n_vars) - 1), min_size=k, max_size=k))
     parities = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
-    signs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
     return masks, parities, signs, n_vars
 
 
 @st.composite
 def one_chunk_systems(draw):
-    """(masks, signs, n_vars) whose 2^n_vars assignments fit in one window,
-    with weights in [-3, 3] and up to two of magnitude near 2^62."""
+    """(masks, signs, n_vars) whose 2^n_vars assignments fit in one window."""
     n_vars = draw(st.integers(0, 12))
     max_constraints = 64 if n_vars <= 10 else 1 << (16 - n_vars)
     masks = draw(st.lists(st.integers(0, (1 << n_vars) - 1), max_size=max_constraints))
     k = len(masks)
-    signs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
-    for i in draw(st.lists(st.integers(0, k - 1), max_size=2)) if k else ():
-        magnitude = draw(st.integers(2**62 - 2**10, 2**62 - 2**8))
-        signs[i] = draw(st.sampled_from([1, -1])) * magnitude
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
     return masks, signs, n_vars
 
 
@@ -126,10 +122,10 @@ class TestBackendAgreement:
     )
     # Masks only above the window bits: the first window's planes are
     # empty and every bit comes from the per-window complements.
-    @example(([1 << 17, 1 << 16, 1 << 17 | 1 << 16], [1, 0, 1], [-1, 2, -1], 18))
-    @example(([1 << 17 | 1 << 14, 1 << 16, 1 << 15], [1, 0, 1], [-1, 2, -1], 18))
+    @example(([1 << 17, 1 << 16, 1 << 17 | 1 << 16], [1, 0, 1], [-1, 1, -1], 18))
+    @example(([1 << 17 | 1 << 14, 1 << 16, 1 << 15], [1, 0, 1], [-1, 1, -1], 18))
     @example(([(i % 7 + 1) << 10 for i in range(64)], [i % 2 for i in range(64)],
-              [(-1) ** i * (i % 3) for i in range(64)], 13))
+              [(-1) ** (i // 3) for i in range(64)], 13))
     # Masks only below the window bits: no window is complemented.
     @example(([0b1011, 1 << 13], [1, 1], [1, -1], 18))
     @example(([(i * 37) % 1024 for i in range(64)], [i % 2 for i in range(64)],
@@ -145,17 +141,15 @@ class TestBackendAgreement:
         ) == oracle.max_weighted_parity(masks, signs, n_vars)
 
     # When every assignment fits in one window, as for the 12-variable
-    # local bounds, max-parity is one bit-sliced minimum.  Weights near
-    # +-2^62 carry through 63 counter bits, and small or repeated weights
+    # local bounds, max-parity is one bit-sliced minimum.  Repeated masks
     # make ties that the smallest witness must break.
     @settings(max_examples=80, deadline=None)
     @given(one_chunk_systems())
-    @example(([0b011, 0b110], [-(2**62 - 2**9)] * 2, 3))
-    @example(([1, 2, 3], [2**62 - 2**9, -(2**62 - 2**9), 5], 2))
+    @example(([0b011, 0b110], [-1, -1], 3))
     # Distinct columns that tie: x = 1, 2, 3 in the first, x = 2 and 6
     # in the second.
     @example(([1, 2, 3], [-1, -1, -1], 2))
-    @example(([1, 2, 4], [2**62 - 2**9, -(2**62 - 2**9), 0], 3))
+    @example(([1, 2, 4, 4], [1, -1, 1, -1], 3))
     @example(([0, 0], [1, -1], 12))
     @example(([], [], 0))
     def test_one_chunk_matches_oracle(self, system):
@@ -165,8 +159,9 @@ class TestBackendAgreement:
         assert all(type(v) is int for v in result)
 
     # At 17 variables there are two windows of 2^16 assignments, and
-    # padding with zero-weight constraints changes which windows share a
-    # set of complemented constraints; the witness must cross them.
+    # padding with pairs of opposite constraints on one mask, which cancel,
+    # changes which windows share a set of complemented constraints; the
+    # witness must cross them.
     @pytest.mark.parametrize("k", [1, 9, 64])
     @pytest.mark.parametrize(
         "masks, signs, expected",
@@ -180,9 +175,9 @@ class TestBackendAgreement:
         ],
     )
     def test_ties_give_the_smallest_witness(self, masks, signs, expected, k):
-        padding = [(i * 40503) % (1 << 17) for i in range(k - len(masks))]
-        masks = masks + padding
-        signs = signs + [0] * len(padding)
+        padding = [(i * 40503) % (1 << 17) for i in range((k - len(masks)) // 2)]
+        masks = masks + [mask for mask in padding for _ in range(2)]
+        signs = signs + [1, -1] * len(padding)
         assert kernels.max_weighted_parity(masks, signs, 17) == expected
 
 
@@ -227,15 +222,21 @@ class TestValidation:
     def test_largest_mask_is_accepted(self):
         assert kernels.satisfaction_histogram([0b11], [0], 2) == [2, 2]
 
-    @pytest.mark.parametrize("parity", [2, -1])
+    @pytest.mark.parametrize("parity", [2, -1, 1.0])
     def test_parity_outside_zero_one(self, parity):
         with pytest.raises(ValueError, match="parity"):
             kernels.satisfaction_histogram([1], [parity], 1)
 
+    # Signs are ±1: integer weights, however large, are rejected.
     @pytest.mark.parametrize("signs", [[2**62, 2**62], [2**70], [-(2**63)]])
     def test_weights_that_could_overflow_int64(self, signs):
-        with pytest.raises(ValueError, match="2\\^63"):
+        with pytest.raises(ValueError, match="^sign values must be 1 or -1"):
             kernels.max_weighted_parity([1] * len(signs), signs, 1)
+
+    @pytest.mark.parametrize("sign", [0, 2, -2, 2**62])
+    def test_signs_must_be_plus_or_minus_one(self, sign):
+        with pytest.raises(ValueError, match="^sign values must be 1 or -1"):
+            kernels.max_weighted_parity([1, 1], [1, sign], 1)
 
     @pytest.mark.parametrize("sign", [1.5, 1.0, "1"])
     def test_signs_must_be_integers(self, sign):
@@ -243,25 +244,24 @@ class TestValidation:
             kernels.max_weighted_parity([1], [sign], 1)
 
     def test_largest_weight_sum_is_accepted(self):
-        # x = 0 attains the full sum 2^63 - 1, which still fits in int64.
-        result = kernels.max_weighted_parity([1, 1], [2**62, 2**62 - 1], 1)
-        assert result == (2**63 - 1, 0)
+        # 64 constraints, the cap, all met at x = 0: the largest value.
+        assert kernels.max_weighted_parity([0] * 64, [1] * 64, 1) == (64, 0)
 
-    # Mixed signs whose absolute values sum to 2^63 - 1 over distinct masks:
-    # the bit-sliced cost reaches 63 bits, and the result must be exact.
+    # Constant constraints with sign -1 fail at every assignment, so the
+    # best cost fills the counter up to its top plane and the best value
+    # is negative; mixed with other signs, the witness must still be exact.
     @pytest.mark.parametrize(
         "masks, signs",
         [
-            ([1, 2], [2**62, -(2**62 - 1)]),
-            ([1, 2], [-(2**62), 2**62 - 1]),
-            ([1], [-(2**63 - 1)]),
-            ([1, 2, 3], [2**62, -(2**61), -(2**61 - 1)]),
-            ([1, 2, 3], [-(2**62), 2**61, -(2**61 - 1)]),
-            ([3, 1, 2, 0], [-(2**61), -(2**61), -(2**61), 2**61 - 1]),
+            ([1, 2], [1, -1]),
+            ([0], [-1]),
+            ([0, 0, 0], [-1, -1, -1]),
+            ([0, 0, 0, 0], [-1, -1, -1, -1]),
+            ([1, 2, 3], [-1, 1, -1]),
+            ([3, 1, 2, 0], [-1, -1, -1, 1]),
         ],
     )
     def test_mixed_sign_extremes_match_oracle(self, masks, signs):
-        assert sum(abs(sign) for sign in signs) == 2**63 - 1
         result = kernels.max_weighted_parity(masks, signs, 2)
         assert result == oracle.max_weighted_parity(masks, signs, 2)
 
@@ -324,8 +324,8 @@ class TestKernelContracts:
     @settings(max_examples=40, deadline=None)
     @given(systems(max_vars=10, max_constraints=64))
     @example(([], [], [], 0))
-    @example(([1 << 9, 3], [0, 0], [0, 0], 10))
-    @example(([0b1111] * 3, [0] * 3, [0] * 3, 4))
+    @example(([1 << 9, 3], [0, 0], [1, -1], 10))
+    @example(([0b1111] * 3, [0] * 3, [-1] * 3, 4))
     @example(([(i * 37) % 1024 for i in range(64)], [i % 2 for i in range(64)],
               [(-1) ** i for i in range(64)], 10))
     def test_up_to_64_constraints_match_oracle(self, system):

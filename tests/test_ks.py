@@ -305,13 +305,25 @@ class TestReporting:
         )
         structure = ks.verify_table_structure(square)
         assert structure["all_ok"]
-        proof = ks.prove_ks_contradiction(square, structure)
+        proof = ks.prove_ks_contradiction(square)
         assert proof["exhaustive_count_satisfying_all"] == 0
         assert proof["assignments_checked"] == 512
-        lines = ks.render_table(square, structure).split("\n")
+        lines = ks.render_table(square).split("\n")
         assert len(lines) == 4
         assert lines[0] == "x1        x2        x1x2      | row 1: ok"
         assert lines[-1] == "col 1: ok  col 2: ok  col 3: ok"
+
+    def test_long_labels_stay_apart(self):
+        # Columns widen to the longest label plus two.
+        cells = (("x1x2x3x4x5x6", "z1"), ("z1", "x1x2x3x4x5x6"))
+        table = ks.KsTable(
+            tuple(tuple(parse(cell, 6) for cell in row) for row in cells),
+            (+1, +1),
+            (+1, +1),
+        )
+        lines = ks.render_table(table).split("\n")
+        assert lines[0] == "x1x2x3x4x5x6  z1            | row 1: FAIL"
+        assert lines[1] == "z1            x1x2x3x4x5x6  | row 2: FAIL"
 
     def test_certificate_is_json_ready(self):
         import json

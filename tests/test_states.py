@@ -76,6 +76,16 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(2, np.array([1.0, 0.0]))
 
+    # A huge or negative count is compared without building 2^n_qubits,
+    # and a length that is no power of two never matches.
+    @pytest.mark.parametrize(
+        "n_qubits, amps",
+        [(10**12, [1]), (-1, [1]), (-1, []), (0, []), (1, [1, 0, 0]), (2, [1, 0, 0])],
+    )
+    def test_rejects_a_qubit_count_that_does_not_match(self, n_qubits, amps):
+        with pytest.raises(ValueError, match="^amplitude vector has wrong length$"):
+            StateVector(n_qubits, amps)
+
     @pytest.mark.parametrize(
         "amps",
         [
