@@ -8,10 +8,10 @@ flattening a term multiplies everything into a single Pauli string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 
 from . import states
+from ._frozen import Frozen
 from .pauli import PauliString, parse
 
 ALICE_QUBITS = (1, 2)
@@ -25,30 +25,24 @@ LOCAL_BOUND = 7
 QUANTUM_VALUE = 9
 
 
-@dataclass(frozen=True)
-class ExperimentTerm:
-    """One signed correlation term with its local factor structure."""
+class ExperimentTerm(Frozen):
+    """One signed correlation term with its local factor structure, and,
+    uncompared, `observable`, the product of all factors without the sign,
+    and `ids`, their labels, Alice's first: the local observable ids."""
 
-    sign: int
-    alice_factors: tuple
-    bob_factors: tuple
-    #: Product of all factors (the term's sign is not included).
-    observable: PauliString = field(init=False, repr=False, compare=False)
-    #: Labels of the factors, Alice's first: the term's local observable ids.
-    ids: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("sign", "alice_factors", "bob_factors")
 
-    def __post_init__(self):
-        if self.sign not in (+1, -1):
-            raise ValueError("sign must be ±1")
-        observable, ids = _checked_observable(self.alice_factors, self.bob_factors)
-        object.__setattr__(self, "observable", observable)
-        object.__setattr__(self, "ids", ids)
+    def __init__(self, sign: int, alice_factors: tuple, bob_factors: tuple):
+        _check_sign(sign)
+        alice_factors, bob_factors = _factor_tuple(alice_factors), _factor_tuple(bob_factors)
+        observable, ids = _checked_observable(alice_factors, bob_factors)
+        self.__dict__.update(sign=sign, alice_factors=alice_factors, bob_factors=bob_factors,
+                             observable=observable, ids=ids)
 
     def _resigned(self, sign) -> "ExperimentTerm":
         """This term with `sign`, which must be ±1, reusing the checked
         observable and ids; the term itself when the sign is unchanged."""
-        if sign not in (+1, -1):
-            raise ValueError("sign must be ±1")
+        _check_sign(sign)
         if sign == self.sign:
             return self
         term = object.__new__(ExperimentTerm)
@@ -64,6 +58,17 @@ class ExperimentTerm:
         alice = "".join(f.label for f in self.alice_factors)
         bob = "".join(f.label for f in self.bob_factors)
         return f"{alice}·{bob}"
+
+
+def _check_sign(sign):
+    if type(sign) is not int or sign not in (+1, -1):
+        raise ValueError(f"sign must be ±1, got {sign!r}")
+
+
+def _factor_tuple(factors) -> tuple:
+    if isinstance(factors, (tuple, list)) and all(isinstance(f, PauliString) for f in factors):
+        return tuple(factors)
+    raise ValueError(f"factors must be PauliStrings, got {factors!r}")
 
 
 def _checked_observable(alice_factors: tuple, bob_factors: tuple) -> tuple:
@@ -111,11 +116,13 @@ def nine_terms() -> tuple:
     return NINE_TERMS
 
 
-@dataclass(frozen=True)
-class BellFunctional:
+class BellFunctional(Frozen):
     """Signed sum of correlation terms; quantum value 9, local bound 7."""
 
-    terms: tuple
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple):
+        self.__dict__.update(terms=tuple(terms))
 
     @classmethod
     def canonical(cls) -> "BellFunctional":

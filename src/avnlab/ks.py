@@ -16,13 +16,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import lhv, states
+from ._frozen import Frozen
 from .functional import (
     LOCAL_BOUND, QUANTUM_VALUE, BellFunctional, verify_nine_identities,
 )
-from .pauli import parse
+from .pauli import PauliString, parse
 
 _CANONICAL_CELLS = (
     ("z1z3", "z2z4", "x1x3", "x2x4", "y1y2y3y4"),
@@ -33,24 +33,28 @@ _CANONICAL_CELLS = (
 )
 
 
-@dataclass(frozen=True)
-class KsTable:
-    """Grid of optional Pauli strings with per-line product targets."""
+class KsTable(Frozen):
+    """Grid of optional Pauli strings with per-line product targets, stored
+    as tuples: rows of cells, each a PauliString or None."""
 
-    grid: tuple  # rows of cells, each PauliString or None
-    row_targets: tuple
-    column_targets: tuple
+    _fields = ("grid", "row_targets", "column_targets")
 
-    def __post_init__(self):
-        if len(self.row_targets) != len(self.grid) or any(
-            len(row) != len(self.column_targets) for row in self.grid
-        ):
+    def __init__(self, grid: tuple, row_targets: tuple, column_targets: tuple):
+        try:
+            grid = tuple(map(tuple, grid))
+            row_targets, column_targets = tuple(row_targets), tuple(column_targets)
+        except TypeError:
+            raise ValueError("the grid and the line targets must be sequences") from None
+        if len(row_targets) != len(grid) or any(len(row) != len(column_targets) for row in grid):
             raise ValueError("grid shape does not match the line targets")
-        for kind, index, ops, target in self.lines():
+        for kind, index, ops, target in _lines(grid, row_targets, column_targets):
             if not ops:
                 raise ValueError(f"{kind} {index + 1} has no operators")
-            if target not in (+1, -1):
+            if not all(isinstance(op, PauliString) for op in ops):
+                raise ValueError(f"{kind} {index + 1} has a cell that is not a PauliString")
+            if type(target) is not int or target not in (+1, -1):
                 raise ValueError(f"{kind} {index + 1} target {target!r} is not ±1")
+        self.__dict__.update(grid=grid, row_targets=row_targets, column_targets=column_targets)
 
     @classmethod
     def canonical(cls) -> "KsTable":
@@ -69,14 +73,18 @@ class KsTable:
 
     def lines(self):
         """All ten (kind, index, operators, target) line records."""
-        out = []
-        for r, target in enumerate(self.row_targets):
-            ops = [op for op in self.grid[r] if op is not None]
-            out.append(("row", r, ops, target))
-        for c, target in enumerate(self.column_targets):
-            ops = [row[c] for row in self.grid if row[c] is not None]
-            out.append(("column", c, ops, target))
-        return out
+        return _lines(self.grid, self.row_targets, self.column_targets)
+
+
+def _lines(grid, row_targets, column_targets) -> list:
+    out = []
+    for r, target in enumerate(row_targets):
+        ops = [op for op in grid[r] if op is not None]
+        out.append(("row", r, ops, target))
+    for c, target in enumerate(column_targets):
+        ops = [row[c] for row in grid if row[c] is not None]
+        out.append(("column", c, ops, target))
+    return out
 
 
 #: The 17-operator table of the proof.

@@ -10,11 +10,11 @@ quantum value 9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import math
 from functools import lru_cache
 
 from . import kernels
+from ._frozen import Frozen
 from .functional import EXPECTED_SIGNS, QUANTUM_VALUE, BellFunctional
 
 ALICE_IDS = ("z1", "z2", "x1", "x2", "z1z2", "x1x2")
@@ -27,8 +27,7 @@ _ID_INDEX = {name: i for i, name in enumerate(ID_ORDER)}
 N_IDS = len(ID_ORDER)
 
 
-@dataclass(frozen=True)
-class ParitySystem:
+class ParitySystem(Frozen):
     """Parity constraints over `n_vars` ±1 variables, in the kernels' encoding.
 
     Constraint k holds at an assignment when the product of the values
@@ -37,9 +36,10 @@ class ParitySystem:
     table lines in `avnlab.ks`.
     """
 
-    masks: tuple
-    parities: tuple
-    n_vars: int
+    _fields = ("masks", "parities", "n_vars")
+
+    def __init__(self, masks: tuple, parities: tuple, n_vars: int):
+        self.__dict__.update(masks=masks, parities=parities, n_vars=n_vars)
 
     def prove(self) -> dict:
         """Parity argument plus exhaustive count; the two must agree.
@@ -132,14 +132,15 @@ def local_bound(functional: BellFunctional):
     return bound, assignment_from_int(witness)
 
 
-def visibility_threshold(functional: BellFunctional) -> Fraction:
-    """Critical visibility L/Q under uniform correlation scaling, with L the
-    functional's local bound and Q = QUANTUM_VALUE.  Werner-type mixing
-    with the maximally mixed state multiplies every term's correlation by
-    the visibility V, because every term observable is traceless; the
-    functional then exceeds the local bound exactly when V > L/Q."""
+def visibility_threshold(functional: BellFunctional) -> tuple:
+    """Critical visibility L/Q, as an int pair in lowest terms, (7, 9) for
+    the canonical functional: L is its local bound, Q = QUANTUM_VALUE.
+    Werner-type mixing with the maximally mixed state multiplies every
+    term's correlation by the visibility V, because every term observable
+    is traceless; the functional then exceeds L exactly when V > L/Q."""
     bound, _ = local_bound(functional)
-    return Fraction(bound, QUANTUM_VALUE)
+    common = math.gcd(bound, QUANTUM_VALUE)
+    return bound // common, QUANTUM_VALUE // common
 
 
 def certificate() -> dict:
@@ -147,7 +148,7 @@ def certificate() -> dict:
     functional = BellFunctional.canonical()
     proof = prove_no_valid_assignment(constraints_for(functional))
     bound, witness = local_bound(functional)
-    threshold = visibility_threshold(functional)
+    numerator, denominator = visibility_threshold(functional)
     return {
         "id_order": list(ID_ORDER),
         "constraints": [
@@ -161,6 +162,6 @@ def certificate() -> dict:
         "local_bound": bound,
         "witness": witness,
         "quantum_value": QUANTUM_VALUE,
-        "visibility_threshold": float(threshold),
-        "visibility_threshold_exact": f"{threshold.numerator}/{threshold.denominator}",
+        "visibility_threshold": numerator / denominator,
+        "visibility_threshold_exact": f"{numerator}/{denominator}",
     }

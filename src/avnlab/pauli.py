@@ -14,8 +14,9 @@ enters any product or commutator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
+
+from ._frozen import Frozen
 
 _PHASE_PREFIX = {0: "+", 1: "i·", 2: "-", 3: "-i·"}
 
@@ -25,26 +26,23 @@ _TOKEN_RE = re.compile(r"([xyz])(\d+)")
 _STRING_RE = re.compile(r"^([+-]?)(i)?[·*]?((?:[xyz]\d+)*|I)$")
 
 
-@dataclass(frozen=True)
-class PauliString:
+class PauliString(Frozen):
     """One n-qubit Pauli operator with exact phase i^phase_power."""
 
-    n_qubits: int
-    x_mask: int
-    z_mask: int
-    phase_power: int = 0
+    _fields = ("n_qubits", "x_mask", "z_mask", "phase_power")
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int, x_mask: int, z_mask: int, phase_power: int = 0):
+        if not type(n_qubits) is type(x_mask) is type(z_mask) is type(phase_power) is int:
+            for name, value in zip(self._fields, (n_qubits, x_mask, z_mask, phase_power)):
+                if type(value) is not int:
+                    raise ValueError(f"{name} must be an int, got {value!r}")
+        if n_qubits < 1:
             raise ValueError("need at least one qubit")
-        full = (1 << self.n_qubits) - 1
-        if not (0 <= self.x_mask <= full and 0 <= self.z_mask <= full):
+        full = (1 << n_qubits) - 1
+        if not (0 <= x_mask <= full and 0 <= z_mask <= full):
             raise ValueError("mask outside qubit range")
-        if self.phase_power not in (0, 1, 2, 3):
-            object.__setattr__(self, "phase_power", self.phase_power % 4)
+        self.__dict__.update(n_qubits=n_qubits, x_mask=x_mask, z_mask=z_mask,
+                             phase_power=phase_power % 4)
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliString":

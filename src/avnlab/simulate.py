@@ -20,8 +20,8 @@ import math
 import numbers
 import operator
 import random
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .functional import LOCAL_BOUND, QUANTUM_VALUE, nine_terms
 from .pauli import parse
 from .states import born_probabilities, build_psi
@@ -42,31 +42,30 @@ SIGMA_RULE = 3.0
 _ESTIMATOR_CODES = {"direct": 0, "yproduct": 1, "bellpairs": 2}
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Frozen):
     """Werner-type visibility plus independent detector efficiency."""
 
-    visibility: float = 1.0
-    detector_efficiency: float = 1.0
+    _fields = ("visibility", "detector_efficiency")
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            _real(name, value)
-        if not 0.0 <= self.visibility <= 1.0:
+    def __init__(self, visibility: float = 1.0, detector_efficiency: float = 1.0):
+        _real("visibility", visibility)
+        _real("detector_efficiency", detector_efficiency)
+        if not 0.0 <= visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
-        if not 0.0 < self.detector_efficiency <= 1.0:
+        if not 0.0 < detector_efficiency <= 1.0:
             raise ValueError("detector efficiency must lie in (0, 1]")
+        self.__dict__.update(visibility=visibility, detector_efficiency=detector_efficiency)
 
 
-@dataclass(frozen=True)
-class CorrelationRecord:
-    term_index: int
-    label: str
-    estimator: str
-    shots_requested: int
-    shots_retained: int
-    estimate: float
-    standard_error: float
+class CorrelationRecord(Frozen):
+    _fields = ("term_index", "label", "estimator", "shots_requested", "shots_retained",
+               "estimate", "standard_error")
+
+    def __init__(self, term_index: int, label: str, estimator: str, shots_requested: int,
+                 shots_retained: int, estimate: float, standard_error: float):
+        self.__dict__.update(term_index=term_index, label=label, estimator=estimator,
+                             shots_requested=shots_requested, shots_retained=shots_retained,
+                             estimate=estimate, standard_error=standard_error)
 
 
 class DegenerateRecordError(RuntimeError):

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+
+from ._frozen import Frozen
 
 NORM_TOL = 1e-12
 
@@ -30,28 +31,27 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _FACTORS = tuple(((1j) ** k * 1.0, (1j) ** k * -1.0) for k in range(4))
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Frozen):
     """Normalized complex amplitude vector over 2^n basis states."""
 
-    n_qubits: int
-    amplitudes: tuple = field(repr=False)
+    _fields = ("n_qubits", "amplitudes")
+    _shown = ("n_qubits",)
 
-    def __post_init__(self):
-        if type(self.n_qubits) is not int:
-            raise ValueError(f"n_qubits must be an int, got {self.n_qubits!r}")
+    def __init__(self, n_qubits: int, amplitudes: tuple):
+        if type(n_qubits) is not int:
+            raise ValueError(f"n_qubits must be an int, got {n_qubits!r}")
         try:
-            if isinstance(self.amplitudes, (str, bytes)):
+            if isinstance(amplitudes, (str, bytes)):
                 raise TypeError
-            amps = tuple(map(complex, self.amplitudes))
+            amps = tuple(map(complex, amplitudes))
         except (TypeError, ValueError):
             raise ValueError("amplitudes must be complex numbers") from None
         size = len(amps)
         # Through bit_length: 1 << n_qubits may be huge or a negative shift.
-        if size & (size - 1) or not 0 <= self.n_qubits == size.bit_length() - 1:
+        if size & (size - 1) or not 0 <= n_qubits == size.bit_length() - 1:
             raise ValueError("amplitude vector has wrong length")
         _check_norm(amps)
-        object.__setattr__(self, "amplitudes", amps)
+        self.__dict__.update(n_qubits=n_qubits, amplitudes=amps)
 
 
 def _check_norm(amps):

@@ -66,6 +66,25 @@ class TestTermStructure:
         with pytest.raises(ValueError):
             ExperimentTerm(2, (parse("z1", 4),), (parse("z3", 4),))
 
+    @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, None])
+    def test_sign_must_be_an_int(self, sign):
+        with pytest.raises(ValueError, match=f"^sign must be ±1, got {sign!r}$"):
+            ExperimentTerm(sign, (parse("z1", 4),), (parse("z3", 4),))
+
+    @pytest.mark.parametrize(
+        "alice, bob",
+        [(("z1",), ("z3",)), (None, ()), ((), 3), ((parse("z1", 4), None), ())],
+    )
+    def test_factors_must_be_pauli_strings(self, alice, bob):
+        with pytest.raises(ValueError, match=r"^factors must be PauliStrings, got .*$"):
+            ExperimentTerm(+1, alice, bob)
+
+    def test_factor_lists_are_stored_as_tuples(self):
+        term = ExperimentTerm(-1, [parse("z1", 4)], [parse("z3", 4)])
+        assert term == nine_terms()[0]
+        assert type(term.alice_factors) is type(term.bob_factors) is tuple
+        assert hash(term) == hash(nine_terms()[0])
+
     @pytest.mark.parametrize(
         "alice, bob, reason",
         [

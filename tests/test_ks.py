@@ -1,14 +1,13 @@
 """The 17-operator noncontextuality proof and the eigenstate-family sweep."""
 
 import copy
-import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from avnlab import ks
+from avnlab import ks, lhv
 from avnlab.functional import EXPECTED_SIGNS
 from avnlab.pauli import PauliString, parse
 from avnlab.states import eigensigns
@@ -73,19 +72,19 @@ class TestMalformedTable:
     def test_empty_row(self, table):
         grid = table.grid[:1] + ((None,) * 5,) + table.grid[2:]
         with pytest.raises(ValueError, match="^row 2 has no operators$"):
-            dataclasses.replace(table, grid=grid)
+            ks.KsTable(grid, table.row_targets, table.column_targets)
 
     def test_empty_column(self, table):
         grid = tuple(row[:3] + (None,) + row[4:] for row in table.grid)
         with pytest.raises(ValueError, match="^column 4 has no operators$"):
-            dataclasses.replace(table, grid=grid)
+            ks.KsTable(grid, table.row_targets, table.column_targets)
 
     @pytest.mark.parametrize("target", [0, 2, -2, None])
     def test_target_outside_plus_minus_one(self, table, target):
         with pytest.raises(ValueError, match=f"^column 5 target {target!r} is not ±1$"):
-            dataclasses.replace(table, column_targets=(+1, +1, +1, +1, target))
+            ks.KsTable(table.grid, table.row_targets, (+1, +1, +1, +1, target))
         with pytest.raises(ValueError, match=f"^row 1 target {target!r} is not ±1$"):
-            dataclasses.replace(table, row_targets=(target,) + (+1,) * 4)
+            ks.KsTable(table.grid, (target,) + (+1,) * 4, table.column_targets)
 
     @pytest.mark.parametrize(
         "changes",
@@ -95,9 +94,50 @@ class TestMalformedTable:
         ],
     )
     def test_targets_must_match_the_grid(self, table, changes):
+        fields = {
+            "grid": table.grid,
+            "row_targets": table.row_targets,
+            "column_targets": table.column_targets,
+        }
         with pytest.raises(ValueError, match="grid shape"):
-            dataclasses.replace(table, **changes)
+            ks.KsTable(**{**fields, **changes})
 
+
+    def test_list_rows_are_stored_as_tuples(self, table):
+        # Lists once built a table that raised TypeError (unhashable) in
+        # prove_ks_contradiction and render_table.
+        listed = ks.KsTable(
+            [list(row) for row in table.grid],
+            list(table.row_targets),
+            list(table.column_targets),
+        )
+        assert listed == table
+        assert type(listed.grid) is tuple and all(type(row) is tuple for row in listed.grid)
+        assert type(listed.row_targets) is type(listed.column_targets) is tuple
+        assert ks.prove_ks_contradiction(listed) == ks.prove_ks_contradiction(table)
+        assert ks.render_table(listed) == ks.render_table(table)
+
+    @pytest.mark.parametrize("grid", [None, 5, (None, None)])
+    def test_grid_must_be_rows_of_cells(self, grid):
+        with pytest.raises(ValueError, match="^the grid and the line targets must be sequences$"):
+            ks.KsTable(grid, (+1,), (+1,))
+
+    @pytest.mark.parametrize("targets", [None, 1])
+    def test_targets_must_be_sequences(self, table, targets):
+        with pytest.raises(ValueError, match="^the grid and the line targets must be sequences$"):
+            ks.KsTable(table.grid, targets, table.column_targets)
+        with pytest.raises(ValueError, match="^the grid and the line targets must be sequences$"):
+            ks.KsTable(table.grid, table.row_targets, targets)
+
+    @pytest.mark.parametrize("grid", [(("z1",),), ("z1",), ((1,),), ((parse("z1", 1), 0),)])
+    def test_cells_must_be_pauli_strings_or_none(self, grid):
+        with pytest.raises(ValueError, match="^row 1 has a cell that is not a PauliString$"):
+            ks.KsTable(grid, (+1,) * len(grid), (+1,) * len(grid[0]))
+
+    @pytest.mark.parametrize("target", [True, False, 1.0, -1.0])
+    def test_target_must_be_an_int(self, table, target):
+        with pytest.raises(ValueError, match=f"^row 1 target {target!r} is not ±1$"):
+            ks.KsTable(table.grid, (target,) + (+1,) * 4, table.column_targets)
 
 class TestContradiction:
     def test_canonical_proof(self, table):
@@ -115,7 +155,7 @@ class TestContradiction:
     def test_flipped_last_column_target_is_satisfiable(self, table):
         # mutated targets break the structure check, so prove the system directly
         system = ks.parity_system(table)
-        flipped = dataclasses.replace(system, parities=system.parities[:-1] + (0,))
+        flipped = lhv.ParitySystem(system.masks, system.parities[:-1] + (0,), system.n_vars)
         hist = flipped.prove()["histogram"]
         assert hist[10] > 0
 
