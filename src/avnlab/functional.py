@@ -122,7 +122,7 @@ class BellFunctional(Frozen):
     _fields = ("terms",)
 
     def __init__(self, terms: tuple):
-        self.__dict__.update(terms=tuple(terms))
+        self.__dict__.update(terms=terms)
 
     @classmethod
     def canonical(cls) -> "BellFunctional":
