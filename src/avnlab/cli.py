@@ -15,12 +15,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import ks, lhv, simulate
-from .functional import (
-    EXPECTED_SIGNS,
-    LOCAL_BOUND,
-    operator_o_check,
-    verify_nine_identities,
-)
+from .functional import EXPECTED_SIGNS, operator_o_check, verify_nine_identities
 from .pauli import parse
 from .states import build_psi
 
@@ -83,20 +78,7 @@ def run_verify(state=None) -> dict:
     }
 
 
-def run_lhv() -> dict:
-    report = lhv.certificate()
-    report["all_ok"] = (
-        report["local_bound"] == LOCAL_BOUND and report["satisfying_count"] == 0
-    )
-    return report
-
-
-def run_ks() -> dict:
-    return ks.certificate()
-
-
-def run_simulate(shots, seed, visibility, efficiency) -> dict:
-    noise = simulate.NoiseModel(visibility, efficiency)
+def run_simulate(shots, seed, noise) -> dict:
     report = simulate.estimate_F(shots, noise, seed)
     report["all_ok"] = True  # statistical report; no pass/fail gate
     return report
@@ -217,53 +199,70 @@ def _json_text(report) -> str:
     return "".join(parts)
 
 
+def _verify_lines(report) -> list:
+    return [
+        f"  nine signs: {report['signs']}  (product {report['sign_product']})",
+        f"  eigenvalue-nine check: {report['eigenvalue_nine']}",
+        *(f"  {c['lhs']} = {c['product']}  (want {c['rhs']}): {c['ok']}"
+          for c in report["operator_identities"]),
+        *(f"  FAIL {failure}" for failure in report["failures"]),
+    ]
+
+
+def _lhv_lines(report) -> list:
+    ids = report["id_order"]
+    witness = "".join("-" if report["witness"][k] < 0 else "+" for k in ids)
+    return [
+        f"  parity product: {report['parity_product']}",
+        f"  satisfying assignments: {report['satisfying_count']} of {1 << len(ids)}",
+        f"  local bound: {report['local_bound']}  quantum value: {report['quantum_value']}",
+        f"  critical visibility: {report['visibility_threshold_exact']}",
+        f"  witness ({' '.join(ids)}): {witness}",
+    ]
+
+
+def _ks_lines(report) -> list:
+    c, family = report["contradiction"], report["eigenfamily"]
+    return [
+        ks.render_table(ks.KsTable.canonical()),
+        f"  parity product: {c['parity_product']}",
+        f"  satisfying assignments: {c['exhaustive_count_satisfying_all']}"
+        f" of {c['assignments_checked']}",
+        f"  eigenfamily: {len(family)} states, sign products"
+        f" {'all -1' if all(r['sign_product'] == -1 for r in family) else 'MIXED'}",
+    ]
+
+
+def _simulate_lines(report) -> list:
+    return [
+        *(f"  term {r['term_index']} ({r['label']}): "
+          f"{r['estimate']:+.5f} ± {r['standard_error']:.5f} "
+          f"[{r['shots_retained']}/{r['shots_requested']} shots]"
+          for r in report["records"]),
+        f"  F = {report['F_estimate']:.5f} ± {report['F_standard_error']:.5f}"
+        f"  (local bound {report['local_bound']}, quantum value {report['quantum_value']})",
+        f"  violates local bound: {report['violates_local_bound']}",
+    ]
+
+
+#: The report's blocks, in their order under `all`: name -> (builder of
+#: the block from the arguments and noise model, its text lines).  Each
+#: block sets its own `all_ok`.  Builders look their function up per call.
+_BLOCKS = {
+    "verify": (lambda args, noise: run_verify(), _verify_lines),
+    "lhv": (lambda args, noise: lhv.certificate(), _lhv_lines),
+    "ks": (lambda args, noise: ks.certificate(), _ks_lines),
+    "simulate": (lambda args, noise: run_simulate(args.shots, args.seed, noise),
+                 _simulate_lines),
+}
+
+
 def _render_text(report, command) -> str:
-    lines = [f"[{command}]"]
-    if command == "verify":
-        lines.append(f"  nine signs: {report['signs']}  (product {report['sign_product']})")
-        lines.append(f"  eigenvalue-nine check: {report['eigenvalue_nine']}")
-        for check in report["operator_identities"]:
-            lines.append(f"  {check['lhs']} = {check['product']}  (want {check['rhs']}): {check['ok']}")
-        for failure in report["failures"]:
-            lines.append(f"  FAIL {failure}")
-    elif command == "lhv":
-        lines.append(f"  parity product: {report['parity_product']}")
-        lines.append(
-            f"  satisfying assignments: {report['satisfying_count']}"
-            f" of {1 << len(report['id_order'])}"
-        )
-        lines.append(f"  local bound: {report['local_bound']}  quantum value: {report['quantum_value']}")
-        lines.append(f"  critical visibility: {report['visibility_threshold_exact']}")
-        witness = "".join("-" if report["witness"][k] < 0 else "+" for k in report["id_order"])
-        lines.append(f"  witness ({' '.join(report['id_order'])}): {witness}")
-    elif command == "ks":
-        lines.append(ks.render_table(ks.KsTable.canonical()))
-        c = report["contradiction"]
-        lines.append(f"  parity product: {c['parity_product']}")
-        lines.append(
-            f"  satisfying assignments: {c['exhaustive_count_satisfying_all']}"
-            f" of {c['assignments_checked']}"
-        )
-        lines.append(
-            f"  eigenfamily: {len(report['eigenfamily'])} states,"
-            f" sign products {'all -1' if all(r['sign_product'] == -1 for r in report['eigenfamily']) else 'MIXED'}"
-        )
-    elif command == "simulate":
-        for r in report["records"]:
-            lines.append(
-                f"  term {r['term_index']} ({r['label']}): "
-                f"{r['estimate']:+.5f} ± {r['standard_error']:.5f} "
-                f"[{r['shots_retained']}/{r['shots_requested']} shots]"
-            )
-        lines.append(
-            f"  F = {report['F_estimate']:.5f} ± {report['F_standard_error']:.5f}"
-            f"  (local bound {report['local_bound']}, quantum value {report['quantum_value']})"
-        )
-        lines.append(f"  violates local bound: {report['violates_local_bound']}")
-    elif command == "all":
-        for key in ("verify", "lhv", "ks", "simulate"):
-            lines.append(_render_text(report[key], key))
-    lines.append(f"  result: {'PASS' if report.get('all_ok') else 'FAIL'}")
+    if command in _BLOCKS:
+        body = _BLOCKS[command][1](report)
+    else:  # all: each block's own text
+        body = [_render_text(report[name], name) for name in _BLOCKS]
+    lines = [f"[{command}]", *body, f"  result: {'PASS' if report['all_ok'] else 'FAIL'}"]
     return "\n".join(lines) + "\n"
 
 
@@ -272,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it;
     parsing keeps no state between calls."""
     parser = _Parser(prog="avnlab", description=__doc__)
-    parser.add_argument("command", choices=["verify", "lhv", "ks", "simulate", "all"])
+    parser.add_argument("command", choices=[*_BLOCKS, "all"])
     parser.add_argument("--shots", type=int, default=100000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--visibility", type=float, default=1.0)
@@ -285,40 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.shots <= 0:
-        parser.error("--shots must be positive")
-    if args.out == "":
-        parser.error("--out must name a file")
+    args.visibility += 0.0  # -0.0 + 0.0 is 0.0: -0.0 would be reported with its sign
     try:
-        # Checked for every subcommand, not only those that simulate.
-        simulate.NoiseModel(args.visibility, args.efficiency)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.visibility == 0:
-        args.visibility = 0.0  # -0.0 would be reported with its sign
-    try:
-        if args.command == "verify":
-            report = run_verify()
-        elif args.command == "lhv":
-            report = run_lhv()
-        elif args.command == "ks":
-            report = run_ks()
-        elif args.command == "simulate":
-            report = run_simulate(
-                args.shots, args.seed, args.visibility, args.efficiency
-            )
+        if args.shots <= 0:
+            raise ValueError("--shots must be positive")
+        if args.out == "":
+            raise ValueError("--out must name a file")
+        # Checked for every command, not only those that simulate.
+        noise = simulate.NoiseModel(args.visibility, args.efficiency)
+        if args.command in _BLOCKS:
+            report = _BLOCKS[args.command][0](args, noise)
         else:
-            report = {
-                "verify": run_verify(),
-                "lhv": run_lhv(),
-                "ks": run_ks(),
-                "simulate": run_simulate(
-                    args.shots, args.seed, args.visibility, args.efficiency
-                ),
-            }
-            report["all_ok"] = all(
-                report[k]["all_ok"] for k in ("verify", "lhv", "ks", "simulate")
-            )
+            report = {name: build(args, noise) for name, (build, _) in _BLOCKS.items()}
+            report["all_ok"] = all(block["all_ok"] for block in report.values())
     except (ValueError, simulate.DegenerateRecordError) as exc:
         parser.error(str(exc))
     except AssertionError as exc:
@@ -327,7 +305,7 @@ def main(argv=None) -> int:
 
     if not _emit(report, args):
         return EXIT_IOERR
-    return EXIT_OK if report.get("all_ok") else EXIT_FAIL
+    return EXIT_OK if report["all_ok"] else EXIT_FAIL
 
 
 if __name__ == "__main__":

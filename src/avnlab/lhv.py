@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import kernels
 from ._frozen import Frozen
-from .functional import EXPECTED_SIGNS, QUANTUM_VALUE, BellFunctional
+from .functional import EXPECTED_SIGNS, LOCAL_BOUND, QUANTUM_VALUE, BellFunctional
 
 ALICE_IDS = ("z1", "z2", "x1", "x2", "z1z2", "x1x2")
 BOB_IDS = ("z3", "z4", "x3", "x4", "z3x4", "x3z4")
@@ -164,4 +164,5 @@ def certificate() -> dict:
         "quantum_value": QUANTUM_VALUE,
         "visibility_threshold": numerator / denominator,
         "visibility_threshold_exact": f"{numerator}/{denominator}",
+        "all_ok": proof["exhaustive_count_satisfying_all"] == 0 and bound == LOCAL_BOUND,
     }

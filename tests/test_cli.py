@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from avnlab import cli
+from avnlab import cli, lhv, simulate
 from avnlab.states import StateVector, build_psi
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,7 +63,7 @@ class TestLhv:
         assert report["parity_product"] == -1
 
     def test_text_count_follows_the_id_order(self):
-        report = cli.run_lhv()
+        report = lhv.certificate()
         assert "satisfying assignments: 0 of 4096" in cli._render_text(report, "lhv")
         report["id_order"] = report["id_order"][:3]
         assert "satisfying assignments: 0 of 8" in cli._render_text(report, "lhv")
@@ -265,6 +265,15 @@ class TestUsageErrors:
         assert code == 0 and out.startswith("[verify]\n")
         assert seen == [["verify", "--json"], ["verify"]]
 
+    def test_one_run_builds_one_noise_model(self, capsys, monkeypatch):
+        calls = []
+        init = simulate.NoiseModel.__init__
+        monkeypatch.setattr(simulate.NoiseModel, "__init__",
+                            lambda self, *args: calls.append(args) or init(self, *args))
+        code, _ = run(["all", "--shots", "1000", "--visibility", "0.9"], capsys)
+        assert code == 0
+        assert calls == [(0.9, 1.0)]
+
     def test_every_shot_lost_exits_64(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--efficiency", "1e-6", "--shots", "3"])
@@ -272,6 +281,31 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "error: term 1: all 3 shots lost to detection\n" in err
         assert "Traceback" not in err
+
+
+class TestVerdictExits:
+    @pytest.mark.parametrize("command", ["lhv", "all"])
+    def test_a_failing_block_exits_1(self, command, capsys, monkeypatch):
+        # A local bound of 8 fails the lhv block, and with it `all`.
+        monkeypatch.setattr(lhv, "local_bound", lambda f: (8, lhv.assignment_from_int(0)))
+        code = cli.main([command, "--shots", "1000"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_FAIL == 1
+        assert "  local bound: 8  quantum value: 9\n  critical visibility: 8/9\n" in captured.out
+        assert captured.out.endswith("  result: FAIL\n")
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("command", ["ks", "all"])
+    def test_an_invariant_breach_exits_2(self, command, capsys, monkeypatch):
+        def breach():
+            raise AssertionError("parity and exhaustive methods disagree")
+
+        monkeypatch.setattr(cli.ks, "certificate", breach)
+        code = cli.main([command, "--json"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVARIANT == 2
+        assert captured.out == ""
+        assert captured.err == "internal invariant breach: parity and exhaustive methods disagree\n"
 
 
 class TestOutputErrors:

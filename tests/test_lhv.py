@@ -301,3 +301,4 @@ class TestCertificate:
         assert report["local_bound"] == 7
         assert report["satisfying_count"] == 0
         assert report["visibility_threshold_exact"] == "7/9"
+        assert report["all_ok"] is True
