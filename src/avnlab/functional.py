@@ -34,7 +34,8 @@ class ExperimentTerm(Frozen):
 
     def __init__(self, sign: int, alice_factors: tuple, bob_factors: tuple):
         _check_sign(sign)
-        alice_factors, bob_factors = _factor_tuple(alice_factors), _factor_tuple(bob_factors)
+        alice_factors = _tuple_of(PauliString, alice_factors, "factors")
+        bob_factors = _tuple_of(PauliString, bob_factors, "factors")
         observable, ids = _checked_observable(alice_factors, bob_factors)
         self.__dict__.update(sign=sign, alice_factors=alice_factors, bob_factors=bob_factors,
                              observable=observable, ids=ids)
@@ -65,22 +66,26 @@ def _check_sign(sign):
         raise ValueError(f"sign must be ±1, got {sign!r}")
 
 
-def _factor_tuple(factors) -> tuple:
-    if isinstance(factors, (tuple, list)) and all(isinstance(f, PauliString) for f in factors):
-        return tuple(factors)
-    raise ValueError(f"factors must be PauliStrings, got {factors!r}")
+def _tuple_of(kind, items, name) -> tuple:
+    """`items`, a tuple or list of `kind` instances, as a tuple."""
+    if isinstance(items, (tuple, list)) and all(isinstance(item, kind) for item in items):
+        return tuple(items)
+    raise ValueError(f"{name} must be {kind.__name__}s, got {items!r}")
 
 
 def _checked_observable(alice_factors: tuple, bob_factors: tuple) -> tuple:
-    """(product, labels) of a term's factors, after checking their
-    Hermiticity, support and pairwise commutation."""
+    """(product, labels) of a term's factors, after checking that there is
+    at least one and that each is on 4 qubits, Hermitian, supported on its
+    observer's qubits and commutes with the others."""
+    fs = alice_factors + bob_factors
+    if not fs or any(f.n_qubits != 4 for f in fs):
+        raise ValueError(f"a term needs one or more factors on 4 qubits, got {fs}")
     for f in alice_factors:
         if not (f.is_hermitian and f.supported_on(ALICE_QUBITS)):
             raise ValueError(f"bad Alice factor {f}")
     for f in bob_factors:
         if not (f.is_hermitian and f.supported_on(BOB_QUBITS)):
             raise ValueError(f"bad Bob factor {f}")
-    fs = alice_factors + bob_factors
     for i, a in enumerate(fs):
         for b in fs[i + 1:]:
             if not a.commutes(b):
@@ -122,7 +127,7 @@ class BellFunctional(Frozen):
     _fields = ("terms",)
 
     def __init__(self, terms: tuple):
-        self.__dict__.update(terms=terms)
+        self.__dict__.update(terms=_tuple_of(ExperimentTerm, terms, "terms"))
 
     @classmethod
     def canonical(cls) -> "BellFunctional":

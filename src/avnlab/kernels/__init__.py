@@ -9,8 +9,8 @@ parity, i.e. when the product of the values selected by `mask` equals
 
 Caps: `n_vars` in [0, 30], at most 64 constraints, every mask in
 [0, 2^n_vars), and one parity or sign per mask.  Parities are the
-integers 0 or 1 and signs the integers +1 or -1.  Anything else raises
-ValueError.
+integers 0 or 1 and signs the integers +1 or -1.  Anything else, bools
+included, raises ValueError.
 
 Bit layout: assignments run in windows of W = 2^min(n_vars, 16).  In a
 window, a "plane" is one W-bit int: bit x of variable i's plane is bit i
@@ -45,14 +45,21 @@ for _i in range(_WINDOW_BITS):
     _PLANES.append(_plane)
 
 
+def _index(value) -> int:
+    """`value` as an int, refusing bools as every avnlab constructor does."""
+    if type(value) is bool:
+        raise TypeError(f"{value!r} is a bool")
+    return operator.index(value)
+
+
 def _validated(masks, coefficients, n_vars, name, allowed):
     """Masks as a tuple of ints and `name` coefficients as ints from the pair `allowed`."""
     try:
-        masks = tuple(operator.index(mask) for mask in masks)
+        masks = tuple(_index(mask) for mask in masks)
     except TypeError:
         raise ValueError(f"masks must be integers, got {masks}") from None
     try:
-        coefficients = [operator.index(value) for value in coefficients]
+        coefficients = [_index(value) for value in coefficients]
     except TypeError:
         raise ValueError(f"{name} values must be integers, got {coefficients}") from None
     if len(masks) != len(coefficients):

@@ -337,12 +337,4 @@ def estimate_F(
 
 
 def record_as_dict(r: CorrelationRecord) -> dict:
-    return {
-        "term_index": r.term_index,
-        "label": r.label,
-        "estimator": r.estimator,
-        "shots_requested": r.shots_requested,
-        "shots_retained": r.shots_retained,
-        "estimate": r.estimate,
-        "standard_error": r.standard_error,
-    }
+    return {name: getattr(r, name) for name in CorrelationRecord._fields}

@@ -91,12 +91,16 @@ class TestTermStructure:
             (("z1", "x1"), (), "do not commute"),
             (("z3",), (), "bad Alice factor"),
             (("z1",), ("x1",), "bad Bob factor"),
+            ((parse("z1", 2),), (parse("z1", 2),), "factors on 4 qubits"),
+            ((parse("z1", 8),), (), "factors on 4 qubits"),
+            ((), (), "one or more factors"),
         ],
     )
     def test_bad_factors_raise_on_every_construction(self, alice, bob, reason):
         # Nothing is cached between constructions: each one checks and raises.
-        alice = tuple(parse(s, 4) for s in alice)
-        bob = tuple(parse(s, 4) for s in bob)
+        # Labels are parsed on 4 qubits; PauliStrings are taken as they are.
+        alice = tuple(parse(f, 4) if isinstance(f, str) else f for f in alice)
+        bob = tuple(parse(f, 4) if isinstance(f, str) else f for f in bob)
         for sign in (+1, -1, +1):
             with pytest.raises(ValueError, match=reason):
                 ExperimentTerm(sign, alice, bob)
@@ -164,6 +168,20 @@ class TestOperatorIdentities:
     def test_ninth_observable_equals_minus_y_string(self):
         ninth = nine_terms()[8].observable
         assert ninth == parse("-y1y2y3y4", 4)
+
+
+class TestBellFunctional:
+    @pytest.mark.parametrize("terms", [["x"], None, "x", (nine_terms()[0], 1)])
+    def test_terms_must_be_experiment_terms(self, terms):
+        with pytest.raises(ValueError, match=r"^terms must be ExperimentTerms, got .*$"):
+            BellFunctional(terms)
+
+    def test_term_lists_are_stored_as_tuples(self):
+        functional = BellFunctional(list(nine_terms()))
+        assert type(functional.terms) is tuple
+        assert functional == BellFunctional.canonical()
+        assert hash(functional) == hash(BellFunctional.canonical())
+        assert hash(BellFunctional([])) == hash(BellFunctional(()))
 
 
 class TestWithSigns:

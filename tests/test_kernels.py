@@ -196,7 +196,7 @@ class TestValidation:
             kernel([], [], n_vars)
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("mask", [1.5, "1", None])
+    @pytest.mark.parametrize("mask", [1.5, "1", None, True, False])
     def test_masks_must_be_integers(self, kernel, mask):
         with pytest.raises(ValueError, match="masks must be integers"):
             kernel([mask], [1], 2)
@@ -222,7 +222,7 @@ class TestValidation:
     def test_largest_mask_is_accepted(self):
         assert kernels.satisfaction_histogram([0b11], [0], 2) == [2, 2]
 
-    @pytest.mark.parametrize("parity", [2, -1, 1.0])
+    @pytest.mark.parametrize("parity", [2, -1, 1.0, True, False])
     def test_parity_outside_zero_one(self, parity):
         with pytest.raises(ValueError, match="parity"):
             kernels.satisfaction_histogram([1], [parity], 1)
@@ -238,7 +238,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="^sign values must be 1 or -1"):
             kernels.max_weighted_parity([1, 1], [1, sign], 1)
 
-    @pytest.mark.parametrize("sign", [1.5, 1.0, "1"])
+    @pytest.mark.parametrize("sign", [1.5, 1.0, "1", True, False])
     def test_signs_must_be_integers(self, sign):
         with pytest.raises(ValueError, match="integers"):
             kernels.max_weighted_parity([1], [sign], 1)
