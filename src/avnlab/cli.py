@@ -245,9 +245,9 @@ def _simulate_lines(report) -> list:
     ]
 
 
-#: The report's blocks, in their order under `all`: name -> (builder of
-#: the block from the arguments and noise model, its text lines).  Each
-#: block sets its own `all_ok`.  Builders look their function up per call.
+#: The report's blocks in their order under `all`: name -> (builder from
+#: the arguments and noise model, text lines).  Each sets its own `all_ok`;
+#: builders resolve names per call, so a rebound (traced) function runs.
 _BLOCKS = {
     "verify": (lambda args, noise: run_verify(), _verify_lines),
     "lhv": (lambda args, noise: lhv.certificate(), _lhv_lines),
