@@ -36,7 +36,7 @@ def systems(draw, max_vars=16, max_constraints=6, min_vars=0):
 
 @st.composite
 def one_chunk_systems(draw):
-    """(masks, signs, n_vars) whose 2^n_vars assignments fit in one window."""
+    """(masks, signs, n_vars) on at most 12 variables, many constraints at small n."""
     n_vars = draw(st.integers(0, 12))
     max_constraints = 64 if n_vars <= 10 else 1 << (16 - n_vars)
     masks = draw(st.lists(st.integers(0, (1 << n_vars) - 1), max_size=max_constraints))
@@ -106,13 +106,12 @@ class TestBackendAgreement:
         assert result == oracle.max_weighted_parity(masks, signs, n_vars)
         assert all(type(v) is int for v in result)
 
-    # Every window after the first is the first window with constraint
-    # planes complemented, so the property runs over several windows of
-    # 2^16 assignments once n_vars > 16.  The oracle's cost grows as
-    # (k + 1) * 2^n_vars, which keeps k small at large n_vars.
+    # Every n_vars up to the cap of 17, each on planes of 2^n_vars bits.
+    # The oracle's cost grows as (k + 1) * 2^n_vars, which keeps k small
+    # at large n_vars.
     @settings(max_examples=40, deadline=None)
     @given(
-        st.integers(0, 20).flatmap(
+        st.integers(0, 17).flatmap(
             lambda n: systems(
                 min_vars=n,
                 max_vars=n,
@@ -120,17 +119,17 @@ class TestBackendAgreement:
             )
         )
     )
-    # Masks only above the window bits: the first window's planes are
-    # empty and every bit comes from the per-window complements.
-    @example(([1 << 17, 1 << 16, 1 << 17 | 1 << 16], [1, 0, 1], [-1, 1, -1], 18))
-    @example(([1 << 17 | 1 << 14, 1 << 16, 1 << 15], [1, 0, 1], [-1, 1, -1], 18))
+    # Masks only on the top variables, whose planes are the widest runs:
+    # every assignment below 2^15 has the same value.
+    @example(([1 << 16, 1 << 15, 1 << 16 | 1 << 15], [1, 0, 1], [-1, 1, -1], 17))
+    @example(([1 << 16 | 1 << 14, 1 << 15, 1 << 16], [1, 0, 1], [-1, 1, -1], 17))
     @example(([(i % 7 + 1) << 10 for i in range(64)], [i % 2 for i in range(64)],
               [(-1) ** (i // 3) for i in range(64)], 13))
-    # Masks only below the window bits: no window is complemented.
-    @example(([0b1011, 1 << 13], [1, 1], [1, -1], 18))
+    # Masks only on the low variables, whose planes repeat 2^13 times or more.
+    @example(([0b1011, 1 << 3], [1, 1], [1, -1], 17))
     @example(([(i * 37) % 1024 for i in range(64)], [i % 2 for i in range(64)],
               [(-1) ** i for i in range(64)], 13))
-    @example(([], [], [], 20))
+    @example(([], [], [], 17))
     def test_many_chunks_match_oracle(self, system):
         masks, parities, signs, n_vars = system
         assert kernels.satisfaction_histogram(
@@ -140,9 +139,9 @@ class TestBackendAgreement:
             masks, signs, n_vars
         ) == oracle.max_weighted_parity(masks, signs, n_vars)
 
-    # When every assignment fits in one window, as for the 12-variable
-    # local bounds, max-parity is one bit-sliced minimum.  Repeated masks
-    # make ties that the smallest witness must break.
+    # Up to 12 variables, as for the local bounds, with up to 64
+    # constraints.  Repeated masks make ties that the smallest witness
+    # must break.
     @settings(max_examples=80, deadline=None)
     @given(one_chunk_systems())
     @example(([0b011, 0b110], [-1, -1], 3))
@@ -158,17 +157,16 @@ class TestBackendAgreement:
         assert result == oracle.max_weighted_parity(masks, signs, n_vars)
         assert all(type(v) is int for v in result)
 
-    # At 17 variables there are two windows of 2^16 assignments, and
-    # padding with pairs of opposite constraints on one mask, which cancel,
-    # changes which windows share a set of complemented constraints; the
-    # witness must cross them.
+    # At 17 variables, the cap, padded with pairs of opposite constraints
+    # on one mask, which cancel but fill the counter's planes; the witness
+    # is still the lowest assignment that attains the maximum.
     @pytest.mark.parametrize("k", [1, 9, 64])
     @pytest.mark.parametrize(
         "masks, signs, expected",
         [
-            # The maximum is attained in every chunk; the first one wins.
+            # The maximum is attained in both halves; the lower one wins.
             ([(1 << 16) | 1], [-1], (1, 1)),
-            # First attained only past the first chunks, at bit 16.
+            # First attained only in the upper half, at bit 16.
             ([1 << 16], [-1], (1, 1 << 16)),
             # A constant functional ties everywhere; the witness is 0.
             ([0, 0], [1, -1], (0, 0)),
@@ -190,9 +188,9 @@ class TestValidation:
             kernel([1], [1, 1], 2)
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("n_vars", [-1, 31])
+    @pytest.mark.parametrize("n_vars", [-1, 18, 31])
     def test_n_vars_outside_cap(self, kernel, n_vars):
-        with pytest.raises(ValueError, match="n_vars"):
+        with pytest.raises(ValueError, match=r"^n_vars must be in \[0, 17\], got -?\d+$"):
             kernel([], [], n_vars)
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -221,6 +219,9 @@ class TestValidation:
 
     def test_largest_mask_is_accepted(self):
         assert kernels.satisfaction_histogram([0b11], [0], 2) == [2, 2]
+        full = (1 << 17) - 1
+        assert kernels.satisfaction_histogram([full], [0], 17) == [1 << 16, 1 << 16]
+        assert kernels.max_weighted_parity([full], [-1], 17) == (1, 1)
 
     @pytest.mark.parametrize("parity", [2, -1, 1.0, True, False])
     def test_parity_outside_zero_one(self, parity):
@@ -267,7 +268,7 @@ class TestValidation:
 
 
 class TestMemory:
-    """Planes are one window of at most 2^16 bits and constraint planes are
+    """Planes are at most 2^17 bits, the cap, and constraint planes are
     made one at a time, so the working set stays small whatever the
     problem size."""
 
@@ -296,8 +297,8 @@ class TestMemory:
         assert peak < self.LIMIT
 
     def test_one_constraint_histogram(self):
-        # Windows stop at 2^16 assignments whatever the constraint count.
-        assert self.peak_bytes([0b1011], [1], 20) < self.LIMIT
+        # Planes of 2^17 bits, the cap, with a counter of one plane.
+        assert self.peak_bytes([0b1011], [1], 17) < self.LIMIT
 
 
 class TestKernelContracts:

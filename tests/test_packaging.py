@@ -142,6 +142,7 @@ def test_import_builds_no_cached_work():
     # certificate path must fill on first use, not at import.
     cached = _cached_functions()
     assert ("avnlab.cli", "build_parser") in cached and ("avnlab.lhv", "_masks") in cached
+    assert ("avnlab.kernels", "_planes") in cached
     code = "import importlib\nimport avnlab.cli\n" + "".join(
         f"print(importlib.import_module({module!r}).{function}.cache_info().currsize)\n"
         for module, function in cached
