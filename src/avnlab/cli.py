@@ -32,6 +32,14 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"error: {message}\n")
         sys.exit(EXIT_USAGE)
 
+    def _parse_optional(self, arg_string):
+        # A number is a value, "-1e3" and "-inf" too, never an option.
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 #: The two operator identities behind the nine: (a, b, a·b) on each side.
 _OPERATOR_IDENTITIES = tuple(

@@ -78,7 +78,7 @@ def term_rng(seed: int, term_index: int, estimator: str = "direct") -> random.Ra
     estimator) pair owns an independent, reproducible substream."""
     seed = _seed(seed)
     term_index = _integer("term_index", term_index)
-    if estimator not in _ESTIMATOR_CODES:
+    if not isinstance(estimator, str) or estimator not in _ESTIMATOR_CODES:
         raise ValueError(f"unknown estimator {estimator!r}")
     code = _ESTIMATOR_CODES[estimator]
     # Version 2 seeding uses every bit of the string (through the builtin
@@ -215,7 +215,6 @@ def _measurement_plan(term_index: int, estimator: str):
         alice = term.alice_factors[0] * term.alice_factors[1]
         bob = term.bob_factors[0] * term.bob_factors[1]
         return (alice, bob), +1
-    raise ValueError(f"unknown estimator {estimator!r}")
 
 
 def _integer(name: str, value) -> int:
@@ -262,6 +261,7 @@ def run_experiment(
     if not isinstance(noise, NoiseModel):
         raise ValueError(f"noise must be a NoiseModel, got {noise!r}")
 
+    rng = term_rng(seed, term_index, estimator)  # checks the estimator's name
     factors, multiplier = _measurement_plan(term_index, estimator)
     table = born_probabilities(factors, build_psi())
     uniform = (1.0 - noise.visibility) / len(table)
@@ -272,7 +272,6 @@ def run_experiment(
     # when one side has none, so an eigenstate at V = 1 estimates exactly ±1.
     p_plus = mass[+1] / (mass[+1] + mass[-1])
 
-    rng = term_rng(seed, term_index, estimator)
     keep = float(noise.detector_efficiency) ** len(factors)
     n_retained = _binomial(rng, shots, keep)
     if n_retained == 0:

@@ -198,6 +198,27 @@ class TestUsageErrors:
         assert captured.err.endswith("\nerror: seed must be non-negative\n")
         assert captured.err.count("error:") == 1
 
+    # argparse alone takes a negative number in exponent form, or -inf,
+    # for an option and reports "expected one argument".
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--visibility", "-1e-3", "visibility must lie in [0, 1]"),
+            ("--seed", "-1e3", "argument --seed: invalid int value: '-1e3'"),
+            ("--visibility", "-inf", "visibility must lie in [0, 1]"),
+        ],
+    )
+    def test_negative_numbers_reach_the_real_check(self, option, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", option, value])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: avnlab")
+        assert captured.err.endswith(f"\nerror: {message}\n")
+        assert captured.err.count("error:") == 1
+        assert "Traceback" not in captured.err
+
     def test_seed_of_two_to_the_128_runs(self, capsys):
         code, out = run(["simulate", "--shots", "1000", "--seed", str(2**128),
                          "--visibility", "0.9", "--json"], capsys)

@@ -120,13 +120,15 @@ class TestRunExperiment:
             run_experiment(1, 5, NoiseModel(1.0, 1e-6), seed=0)
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^term_index must be 1..9$"):
             run_experiment(0, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^shots must be positive$"):
             run_experiment(1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown estimator 'nonsense'$"):
             run_experiment(1, 10, estimator="nonsense")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown estimator \['direct'\]$"):
+            run_experiment(1, 10, estimator=["direct"])
+        with pytest.raises(ValueError, match="^alternate estimators exist only for term 9$"):
             run_experiment(1, 10, estimator="yproduct")
 
     @pytest.mark.parametrize("shots", [2.5, 2.0, True, "10", None])
