@@ -12,7 +12,9 @@ import argparse
 import functools
 import math
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+# The C quoter that json.encoder re-exports; taking it from _json loads
+# no part of the json package, whose decoder no command needs.
+from _json import encode_basestring_ascii as _quote
 
 from . import ks, lhv, simulate
 from .functional import EXPECTED_SIGNS, operator_o_check, verify_nine_identities

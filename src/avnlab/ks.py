@@ -75,6 +75,47 @@ class KsTable(Frozen):
         """All ten (kind, index, operators, target) line records."""
         return _lines(self.grid, self.row_targets, self.column_targets)
 
+    @functools.cached_property
+    def line_checks(self) -> tuple:
+        """(line, operator labels, commuting, product label, target, ok) for
+        each line; checked on first use and kept, since tables are
+        immutable."""
+        checks = []
+        for kind, index, ops, target in self.lines():
+            commuting = all(
+                a.commutes(b) for i, a in enumerate(ops) for b in ops[i + 1:]
+            )
+            product = ops[0]
+            for op in ops[1:]:
+                product = product * op
+            is_target_identity = (
+                product.x_mask == 0
+                and product.z_mask == 0
+                and product.sign == target
+            )
+            checks.append((
+                f"{kind} {index + 1}",
+                tuple(op.label for op in ops),
+                commuting,
+                product.label,
+                "+I" if target == +1 else "-I",
+                commuting and is_target_identity,
+            ))
+        return tuple(checks)
+
+    @functools.cached_property
+    def parity_system(self) -> lhv.ParitySystem:
+        """One parity constraint per line, over the populated cells numbered
+        in (row, column) scan order; built on first use and kept, since
+        tables and parity systems are immutable."""
+        index = {(r, c): i for i, (r, c, _) in enumerate(self.cells())}
+        masks, parities = [], []
+        for kind, line, _, target in self.lines():
+            axis = 0 if kind == "row" else 1
+            masks.append(sum(1 << i for cell, i in index.items() if cell[axis] == line))
+            parities.append(0 if target == +1 else 1)
+        return lhv.ParitySystem(tuple(masks), tuple(parities), len(index))
+
 
 def _lines(grid, row_targets, column_targets) -> list:
     out = []
@@ -98,34 +139,6 @@ CANONICAL_TABLE = KsTable(
 )
 
 
-@functools.lru_cache(maxsize=8)
-def _line_checks(table: KsTable) -> tuple:
-    """(line, operator labels, commuting, product label, target, ok) for
-    each line; checked once per table, since tables are immutable."""
-    checks = []
-    for kind, index, ops, target in table.lines():
-        commuting = all(
-            a.commutes(b) for i, a in enumerate(ops) for b in ops[i + 1:]
-        )
-        product = ops[0]
-        for op in ops[1:]:
-            product = product * op
-        is_target_identity = (
-            product.x_mask == 0
-            and product.z_mask == 0
-            and product.sign == target
-        )
-        checks.append((
-            f"{kind} {index + 1}",
-            tuple(op.label for op in ops),
-            commuting,
-            product.label,
-            "+I" if target == +1 else "-I",
-            commuting and is_target_identity,
-        ))
-    return tuple(checks)
-
-
 def verify_table_structure(table: KsTable) -> dict:
     """Commutativity and exact line products, phase included.  The checks
     run once per table; every call returns fresh dicts and lists."""
@@ -138,32 +151,18 @@ def verify_table_structure(table: KsTable) -> dict:
             "target": target,
             "ok": ok,
         }
-        for line, operators, commuting, product, target, ok in _line_checks(table)
+        for line, operators, commuting, product, target, ok in table.line_checks
     ]
     return {"lines": lines, "all_ok": all(line["ok"] for line in lines)}
-
-
-@functools.lru_cache(maxsize=8)
-def parity_system(table: KsTable) -> lhv.ParitySystem:
-    """One parity constraint per line, over the populated cells numbered in
-    (row, column) scan order; built once per table, since tables and
-    parity systems are immutable."""
-    index = {(r, c): i for i, (r, c, _) in enumerate(table.cells())}
-    masks, parities = [], []
-    for kind, line, _, target in table.lines():
-        axis = 0 if kind == "row" else 1
-        masks.append(sum(1 << i for cell, i in index.items() if cell[axis] == line))
-        parities.append(0 if target == +1 else 1)
-    return lhv.ParitySystem(tuple(masks), tuple(parities), len(index))
 
 
 def prove_ks_contradiction(table: KsTable) -> dict:
     """Noncontextuality impossibility certificate for the table; a failed
     structure check raises ValueError."""
-    if not all(ok for *_, ok in _line_checks(table)):
+    if not all(ok for *_, ok in table.line_checks):
         raise ValueError("table structure check failed")
 
-    system = parity_system(table)
+    system = table.parity_system
     proof = system.prove()
     hist = proof.pop("histogram")
     proof["n_operators"] = system.n_vars
@@ -175,7 +174,7 @@ def prove_ks_contradiction(table: KsTable) -> dict:
 def render_table(table: KsTable) -> str:
     """Plaintext layout with per-line pass/fail annotations, in columns
     of max(10, longest label + 2) characters."""
-    status = {line: "ok" if ok else "FAIL" for line, *_, ok in _line_checks(table)}
+    status = {line: "ok" if ok else "FAIL" for line, *_, ok in table.line_checks}
     width = max([10] + [len(op.label) + 2 for _, _, op in table.cells()])
     rows = []
     for r, row in enumerate(table.grid):

@@ -11,7 +11,6 @@ quantum value 9.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from . import kernels
 from ._frozen import Frozen
@@ -70,7 +69,7 @@ class ParitySystem(Frozen):
 
 
 def _checked_ids(ids: tuple) -> tuple:
-    unknown = set(ids) - set(ID_ORDER)
+    unknown = {name for name in ids if name not in _ID_INDEX}
     if unknown:
         raise ValueError(f"term references non-local observables {sorted(unknown)}")
     return ids
@@ -81,15 +80,14 @@ def term_ids(term) -> tuple:
     return _checked_ids(term.ids)
 
 
-@lru_cache(maxsize=64)
-def _masks(ids_per_term: tuple) -> tuple:
-    """One mask per term, keyed on the terms' stored ids.  The masks do
-    not depend on the terms' signs, so sign-adapted functionals share one
-    entry.  An unknown id raises and is not cached."""
+def _term_masks(functional: BellFunctional) -> tuple:
+    """One mask per term: the XOR of its ids' bits in the canonical order."""
     masks = []
-    for ids in ids_per_term:
+    for t in functional.terms:
         mask = 0
-        for name in _checked_ids(ids):
+        for name in t.ids:
+            if name not in _ID_INDEX:
+                _checked_ids(t.ids)
             mask ^= 1 << _ID_INDEX[name]
         masks.append(mask)
     return tuple(masks)
@@ -97,9 +95,8 @@ def _masks(ids_per_term: tuple) -> tuple:
 
 def constraints_for(functional: BellFunctional) -> ParitySystem:
     """One parity constraint per term, with the term's sign as target."""
-    masks = _masks(tuple(t.ids for t in functional.terms))
     parities = tuple(0 if t.sign == +1 else 1 for t in functional.terms)
-    return ParitySystem(masks, parities, N_IDS)
+    return ParitySystem(_term_masks(functional), parities, N_IDS)
 
 
 def assignment_from_int(x: int) -> dict:
@@ -126,9 +123,8 @@ def local_bound(functional: BellFunctional):
     with the smallest integer encoding in the canonical id order that
     attains the bound.
     """
-    masks = _masks(tuple(t.ids for t in functional.terms))
     signs = [t.sign for t in functional.terms]
-    bound, witness = kernels.max_weighted_parity(masks, signs, N_IDS)
+    bound, witness = kernels.max_weighted_parity(_term_masks(functional), signs, N_IDS)
     return bound, assignment_from_int(witness)
 
 

@@ -286,7 +286,7 @@ class TestMemory:
             tracemalloc.stop()
 
     def test_ks_histogram(self):
-        system = ks.parity_system(ks.KsTable.canonical())
+        system = ks.KsTable.canonical().parity_system
         assert (len(system.masks), system.n_vars) == (10, 17)
         peak = self.peak_bytes(system.masks, system.parities, system.n_vars)
         assert peak < self.LIMIT
@@ -312,7 +312,7 @@ class TestKernelContracts:
         assert cli.main(args) == 0
         before = out.read_bytes()
         lhv_system = lhv.constraints_for(BellFunctional.canonical())
-        ks_system = ks.parity_system(ks.KsTable.canonical())
+        ks_system = ks.KsTable.canonical().parity_system
         for system in (lhv_system, ks_system):
             _scribble(kernels.satisfaction_histogram(system.masks, system.parities,
                                                      system.n_vars))

@@ -151,13 +151,13 @@ class TestContradiction:
 
     def test_flipped_last_column_target_is_satisfiable(self, table):
         # mutated targets break the structure check, so prove the system directly
-        system = ks.parity_system(table)
+        system = table.parity_system
         flipped = lhv.ParitySystem(system.masks, system.parities[:-1] + (0,), system.n_vars)
         hist = flipped.prove()["histogram"]
         assert hist[10] > 0
 
     def test_rows_and_columns_each_partition_the_cells(self, table):
-        system = ks.parity_system(table)
+        system = table.parity_system
         assert system.n_vars == 17
         assert len(system.masks) == 10
         for masks in (system.masks[:5], system.masks[5:]):
@@ -169,7 +169,7 @@ class TestContradiction:
 
     def test_line_masks_select_the_line_operators(self, table):
         cells = [op for _, _, op in table.cells()]
-        system = ks.parity_system(table)
+        system = table.parity_system
         for mask, (_, _, ops, target), parity in zip(
             system.masks, table.lines(), system.parities
         ):
@@ -194,13 +194,18 @@ class TestContradiction:
         assert report["contradiction"] == ks.prove_ks_contradiction(table)
 
     def test_checks_run_once_per_table(self, table):
-        ks._line_checks.cache_clear()
-        ks.parity_system.cache_clear()
         for _ in range(3):
             ks.certificate()
-        assert ks._line_checks.cache_info().misses == 1
-        assert ks.parity_system.cache_info().misses == 1
-        assert ks.parity_system(table) is ks.parity_system(table)
+        assert table.line_checks is table.line_checks
+        assert table.parity_system is table.parity_system
+        # An equal table built from the same cells derives equal values,
+        # as objects of its own.
+        twin = ks.KsTable(table.grid, table.row_targets, table.column_targets)
+        assert twin == table
+        assert twin.line_checks == table.line_checks
+        assert twin.line_checks is not table.line_checks
+        assert twin.parity_system == table.parity_system
+        assert twin.parity_system is not table.parity_system
 
     def test_mutating_a_certificate_leaves_the_next_unchanged(self):
         golden = json.loads((Path(__file__).parent / "golden" / "ks.json").read_text())

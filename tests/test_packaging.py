@@ -1,8 +1,8 @@
 """Packaging metadata: the version is written once, in avnlab/__init__.py,
 every third-party module the tests import is a declared dependency, no
 module of the package imports a third-party module and no command loads
-numpy, dataclasses or fractions, the public API is pinned, and importing
-the CLI builds none of the cached work."""
+numpy, dataclasses, fractions or json, the public API is pinned, and
+importing the CLI builds none of the cached work."""
 
 import ast
 import os
@@ -82,7 +82,7 @@ MODULES = sorted(
 def test_integer_algebra_imports_only_the_standard_library(module):
     # Every module runs on the standard library; numpy, dense matrices and
     # sampling oracles live in the tests.
-    assert {"pauli.py", "lhv.py", "states.py", "kernels/__init__.py"} <= set(MODULES)
+    assert {"pauli.py", "lhv.py", "states.py", "kernels.py"} <= set(MODULES)
     assert _third_party_imports(ROOT / "src" / "avnlab", module) == set()
 
 
@@ -138,16 +138,26 @@ def _cached_functions() -> list:
 
 
 def test_import_builds_no_cached_work():
-    # Every CLI process pays for what import builds, so the caches of the
-    # certificate path must fill on first use, not at import.
+    # Every CLI process pays for what import builds, so cached work must be
+    # built on first use, not at import.  The module caches are keyed by
+    # scalars or by nothing; what is derived from a table is kept on it.
     cached = _cached_functions()
-    assert ("avnlab.cli", "build_parser") in cached and ("avnlab.lhv", "_masks") in cached
-    assert ("avnlab.kernels", "_planes") in cached
-    code = "import importlib\nimport avnlab.cli\n" + "".join(
+    assert sorted(cached) == [
+        ("avnlab.cli", "build_parser"),
+        ("avnlab.kernels", "_planes"),
+        ("avnlab.ks", "two_pair_state"),
+    ]
+    code = "import importlib, os\nimport avnlab.cli\n" + "".join(
         f"print(importlib.import_module({module!r}).{function}.cache_info().currsize)\n"
         for module, function in cached
+    ) + (
+        "from avnlab import cli, ks\n"
+        "table = vars(ks.CANONICAL_TABLE)\n"
+        "print(*(name in table for name in ('line_checks', 'parity_system')))\n"
+        "cli.main(['all', '--json', '--out', os.devnull])\n"
+        "print(*(name in table for name in ('line_checks', 'parity_system')))\n"
     )
-    assert _run_python(code).split() == ["0"] * len(cached)
+    assert _run_python(code).split() == ["0"] * len(cached) + ["False"] * 2 + ["True"] * 2
 
 
 def test_simulator_draws_from_the_standard_library():
@@ -167,8 +177,9 @@ def test_simulator_draws_from_the_standard_library():
 #: Modules no command may load.  numpy is a test dependency only:
 #: importing it would cost every CLI process more than half of its run
 #: time.  dataclasses brings inspect (and ast, dis, tokenize) and fractions
-#: brings decimal, which together cost a cold process about 10 ms.
-UNLOADED = ("numpy", "dataclasses", "inspect", "fractions", "decimal")
+#: brings decimal, which together cost a cold process about 10 ms.  The
+#: CLI never decodes JSON, so it loads neither json nor its decoder.
+UNLOADED = ("numpy", "dataclasses", "inspect", "fractions", "decimal", "json")
 
 
 @pytest.mark.parametrize("command", ["verify", "lhv", "ks", "simulate", "all"])
