@@ -2,15 +2,16 @@
 
 Subcommands: verify | lhv | ks | simulate | all.  Exit codes: 0 success,
 1 verification failure, 2 internal invariant breach, 64 usage error
-(including a simulation that loses every shot to detection), 74 cannot
-write the --out file.
+(including a simulation that loses every shot to detection), 74 cannot write the report.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
 import sys
 # The C quoter that json.encoder re-exports; taking it from _json loads
 # no part of the json package, whose decoder no command needs.
@@ -30,9 +31,8 @@ EXIT_IOERR = 74
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        sys.exit(EXIT_USAGE)
+        # Not print_usage(sys.stderr): with stderr closed, that prints to stdout.
+        sys.exit(_fail(EXIT_USAGE, f"{self.format_usage()}error: {message}"))
 
     def _parse_optional(self, arg_string):
         # A number is a value, "-1e3" and "-inf" too, never an option.
@@ -94,30 +94,41 @@ def run_simulate(shots, seed, noise) -> dict:
     return report
 
 
-def _emit(report, args) -> bool:
-    """Write the report, UTF-8 encoded whatever the locale, to --out or
-    stdout; False, with a one-line message, when the --out file cannot be
-    written."""
-    if args.json:
-        text = _json_text(report)
+def _discard(stream) -> None:
+    """Point `stream`'s descriptor at os.devnull, where the flush at exit cannot fail."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _fail(code, reason) -> int:
+    """Write `reason` and a newline to stderr, best effort, and return `code`."""
+    if sys.stderr is not None:  # None when the process started with fd 2 closed
+        try:
+            sys.stderr.write(reason + "\n")
+        except OSError:
+            _discard(sys.stderr)
+    return code
+
+
+def _emit(text, out) -> None:
+    """Write `text` as UTF-8, whatever the locale, to the file `out` or to stdout
+    if `out` is None; OSError when it cannot be written."""
+    if out is not None:
+        with open(out, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+    elif sys.stdout is None:  # the process started with fd 1 closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    elif not hasattr(sys.stdout, "buffer"):  # a text-only stream such as io.StringIO
+        sys.stdout.write(text)
     else:
-        text = _render_text(report, args.command)
-    data = text.encode("utf-8")
-    if args.out is None:
-        stdout = sys.stdout
-        if hasattr(stdout, "buffer"):
-            stdout.flush()
-            stdout.buffer.write(data)
-        else:  # a text-only stream such as io.StringIO
-            stdout.write(text)
-        return True
-    try:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        sys.stderr.write(f"error: cannot write {args.out}: {exc.strerror or exc}\n")
-        return False
-    return True
+        try:
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8"))
+            sys.stdout.flush()
+        except OSError:
+            _discard(sys.stdout)
+            raise
 
 
 # -- JSON --------------------------------------------------------------------
@@ -129,17 +140,12 @@ def _emit(report, args) -> bool:
 # `_SCALARS` or dicts, lists and tuples of them, and gives the same string
 # as json for those; anything else raises TypeError.
 
-_INFINITY = float("inf")
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _float_text(value) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
+    text = float.__repr__(value)
+    return _FLOAT_WORDS.get(text, text)
 
 
 #: Encoders of the scalar types, looked up by exact type.
@@ -310,11 +316,13 @@ def main(argv=None) -> int:
     except (ValueError, simulate.DegenerateRecordError) as exc:
         parser.error(str(exc))
     except AssertionError as exc:
-        sys.stderr.write(f"internal invariant breach: {exc}\n")
-        return EXIT_INVARIANT
+        return _fail(EXIT_INVARIANT, f"internal invariant breach: {exc}")
 
-    if not _emit(report, args):
-        return EXIT_IOERR
+    try:
+        _emit(_json_text(report) if args.json else _render_text(report, args.command), args.out)
+    except OSError as exc:  # --out is never empty: that is a usage error
+        return _fail(EXIT_IOERR, f"error: cannot write {args.out or 'standard output'}: "
+                                 f"{exc.strerror or exc}")
     return EXIT_OK if report["all_ok"] else EXIT_FAIL
 
 

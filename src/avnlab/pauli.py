@@ -107,11 +107,6 @@ class PauliString(Frozen):
             raise ValueError(f"{self} has imaginary phase")
         return 1 if self.phase_power == 0 else -1
 
-    def negate(self) -> "PauliString":
-        return PauliString(
-            self.n_qubits, self.x_mask, self.z_mask, (self.phase_power + 2) % 4
-        )
-
     def supported_on(self, qubits) -> bool:
         """True iff every non-identity factor acts on one of `qubits`."""
         allowed = 0

@@ -197,24 +197,29 @@ def _stirling_tail(j):
     return z * (1 / 12 - z2 * (1 / 360 - z2 * (1 / 1260 - z2 * (1 / 1680 - z2 / 1188))))
 
 
+_TERM_9 = nine_terms()[8]
+
+#: Term 9's alternate plans, built once at import: estimator -> (factors
+#: to sample, map from their outcome product to the term's value).
+_ALTERNATE_PLANS = {
+    # (z1z2)(x1x2) = -y1y2 and (z3x4)(x3z4) = +y3y4, so the term's
+    # outcome is minus the product of the four single y outcomes.
+    "yproduct": (tuple(parse(f"y{q}", 4) for q in (1, 2, 3, 4)), -1),
+    # One ±1 outcome per side: the product observables themselves,
+    # whose outcomes label the Bell-state pairs each side holds.
+    "bellpairs": ((_TERM_9.alice_factors[0] * _TERM_9.alice_factors[1],
+                   _TERM_9.bob_factors[0] * _TERM_9.bob_factors[1]), +1),
+}
+
+
 def _measurement_plan(term_index: int, estimator: str):
     """Factors to sample and the map from their outcome product to the
     term's correlation value."""
-    term = nine_terms()[term_index - 1]
     if estimator == "direct":
-        return term.factors, +1
+        return nine_terms()[term_index - 1].factors, +1
     if term_index != 9:
         raise ValueError("alternate estimators exist only for term 9")
-    if estimator == "yproduct":
-        # (z1z2)(x1x2) = -y1y2 and (z3x4)(x3z4) = +y3y4, so the term's
-        # outcome is minus the product of the four single y outcomes.
-        return tuple(parse(f"y{q}", 4) for q in (1, 2, 3, 4)), -1
-    if estimator == "bellpairs":
-        # One ±1 outcome per side: the product observables themselves,
-        # whose outcomes label the Bell-state pairs each side holds.
-        alice = term.alice_factors[0] * term.alice_factors[1]
-        bob = term.bob_factors[0] * term.bob_factors[1]
-        return (alice, bob), +1
+    return _ALTERNATE_PLANS[estimator]
 
 
 def _integer(name: str, value) -> int:

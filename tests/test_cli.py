@@ -341,6 +341,136 @@ class TestOutputErrors:
         )
 
 
+def _child(argv, redirect="", **kwargs):
+    """Run `python ARGV REDIRECT` through sh from this source checkout,
+    with stdout and stderr buffered as Python buffers them by default."""
+    path = str(Path(cli.__file__).resolve().parents[1])
+    if os.environ.get("PYTHONPATH"):
+        path += os.pathsep + os.environ["PYTHONPATH"]
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, *argv],
+                          stderr=subprocess.PIPE, env=env, timeout=120, **kwargs)
+
+
+_HAS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+class TestFailureExits:
+    """A failed write, to stdout, stderr or --out, exits with its documented
+    code and at most one line on stderr: no traceback, and no "Exception
+    ignored" from the interpreter's flush at exit."""
+
+    def _assert_exit(self, proc, code, line):
+        assert (proc.returncode, proc.stderr.decode()) == (code, line)
+
+    @_HAS_DEV_FULL
+    def test_full_stdout_exits_74(self):
+        proc = _child(["-m", "avnlab.cli", "ks"], ">/dev/full")
+        self._assert_exit(proc, 74, "error: cannot write standard output: No space left on device\n")
+
+    def test_broken_pipe_exits_74(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child starts: every write fails
+        try:
+            proc = _child(["-m", "avnlab.cli", "all", "--json"], stdout=write_end)
+        finally:
+            os.close(write_end)
+        self._assert_exit(proc, 74, "error: cannot write standard output: Broken pipe\n")
+
+    def test_closed_stdout_exits_74(self):
+        proc = _child(["-m", "avnlab.cli", "verify"], ">&-")
+        self._assert_exit(proc, 74, "error: cannot write standard output: Bad file descriptor\n")
+
+    @pytest.mark.parametrize(
+        "redirect", [pytest.param("2>/dev/full", marks=_HAS_DEV_FULL), "2>&-"]
+    )
+    def test_usage_error_exits_64_whatever_stderr(self, redirect):
+        proc = _child(["-m", "avnlab.cli", "--bogus"], redirect, stdout=subprocess.PIPE)
+        self._assert_exit(proc, 64, "")
+        assert proc.stdout == b""
+
+    def test_invariant_breach_with_closed_stderr_exits_2(self):
+        code = (
+            "import sys\n"
+            "from avnlab import cli, ks\n"
+            "def breach():\n"
+            "    raise AssertionError('parity and exhaustive methods disagree')\n"
+            "ks.certificate = breach\n"
+            "sys.exit(cli.main(['ks']))\n"
+        )
+        proc = _child(["-c", code], "2>&-", stdout=subprocess.PIPE)
+        self._assert_exit(proc, 2, "")
+        assert proc.stdout == b""
+
+    def test_unwritable_out_with_closed_stderr_exits_74(self, tmp_path):
+        out = tmp_path / "missing" / "x"
+        proc = _child(["-m", "avnlab.cli", "verify", "--out", str(out)], "2>&-",
+                      stdout=subprocess.PIPE)
+        self._assert_exit(proc, 74, "")
+        assert proc.stdout == b""
+
+
+#: Option values that have broken number parsing: nan, infinities, signed
+#: zero, subnormals, 2^63, non-numeric text and the empty string; and
+#: values that every option takes, so that drawn commands also run.
+_OPTION_VALUES = st.sampled_from(
+    ["nan", "inf", "-inf", "-0.0", "5e-324", "2.2250738585072014e-308", str(2**63),
+     str(2**63 - 1), "-1", "1e3", "abc", ""]
+) | st.text(max_size=6) | st.sampled_from(["1", "0.9", "1000"])
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("out")
+
+
+class TestArgvContract:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # Less "-h" and "--h...", which print the help and exit 0.
+        command=st.sampled_from([*cli._BLOCKS, "all"])
+        | st.text(max_size=6).filter(lambda text: not text.startswith(("-h", "--h"))),
+        options=st.dictionaries(
+            st.sampled_from(["--shots", "--seed", "--visibility", "--efficiency"]),
+            _OPTION_VALUES, max_size=2,
+        ),
+        json_flag=st.booleans(),
+        out=st.sampled_from([None, "devnull", "file", "directory", "missing parent"]
+                            + ["/dev/full"] * os.path.exists("/dev/full")),
+    )
+    def test_every_argv_exits_with_a_documented_code(
+        self, out_dir, command, options, json_flag, out
+    ):
+        argv = [command, *(item for pair in options.items() for item in pair)]
+        argv += ["--json"] * json_flag
+        target = {"devnull": os.devnull, "file": str(out_dir / "report"),
+                  "directory": str(out_dir), "missing parent": str(out_dir / "no" / "x"),
+                  "/dev/full": "/dev/full", None: None}[out]
+        if target is not None:
+            argv += ["--out", target]
+        stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = stderr.getvalue()
+        assert "Traceback" not in err
+        writable = out in (None, "devnull", "file")
+        if code in (0, 1):
+            assert err == "" and writable
+        elif code == 64:
+            assert err.startswith("usage: avnlab") and err.endswith("\n")
+            lines = err.splitlines()
+            assert lines[-1].startswith("error: ")
+            assert not any(line.startswith("error:") for line in lines[:-1])
+        else:
+            assert code == 74 and not writable
+            assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+            assert err.endswith("\n")
+
+
 class TestTextEncoding:
     # Text reports hold "·" and "±".  Under the C locale Python's stdout
     # and text files default to ASCII, so the CLI must encode them itself.

@@ -39,7 +39,7 @@ class TestTableStructure:
         product = ops[0]
         for op in ops[1:]:
             product = product * op
-        assert product == PauliString.identity(4).negate()
+        assert product == PauliString(4, 0, 0, 2)  # -I
 
     def test_operators_pairwise_distinct(self, table):
         cells = [op for _, _, op in table.cells()]

@@ -118,7 +118,7 @@ class TestHermitian:
             assert p.is_hermitian
             assert p * p == PauliString.identity(3)
         for p in all_phase_free(2):
-            neg = p.negate()
+            neg = PauliString(p.n_qubits, p.x_mask, p.z_mask, 2)
             assert neg.is_hermitian and neg.sign == -1
             assert neg * neg == PauliString.identity(2)
 

@@ -24,6 +24,7 @@ from avnlab.simulate import (
     NoiseModel,
     _binomial,
     _log_pmf_ratio,
+    _measurement_plan,
     estimate_F,
     run_experiment,
     term_rng,
@@ -263,6 +264,13 @@ class TestTermNineEstimators:
                 assert within_sigmas(
                     a.estimate, b.estimate, a.standard_error, b.standard_error
                 )
+
+    @pytest.mark.parametrize("estimator", ["yproduct", "bellpairs"])
+    def test_alternate_plans_are_built_once(self, estimator, monkeypatch):
+        plan = _measurement_plan(9, estimator)
+        monkeypatch.setattr("avnlab.simulate.parse", None)  # no call may parse
+        assert _measurement_plan(9, estimator) is plan
+        assert run_experiment(9, 1000, IDEAL, seed=0, estimator=estimator).estimate == -1.0
 
 
 class TestEstimateF:
