@@ -34,6 +34,11 @@ class _Parser(argparse.ArgumentParser):
         # Not print_usage(sys.stderr): with stderr closed, that prints to stdout.
         sys.exit(_fail(EXIT_USAGE, f"{self.format_usage()}error: {message}"))
 
+    def print_help(self):
+        # Through _emit, as every report: a full or closed stdout exits 74.
+        if code := _emit(self.format_help(), None):
+            sys.exit(code)
+
     def _parse_optional(self, arg_string):
         # A number is a value, "-1e3" and "-inf" too, never an option.
         try:
@@ -111,24 +116,30 @@ def _fail(code, reason) -> int:
     return code
 
 
-def _emit(text, out) -> None:
+def _emit(text, out) -> int:
     """Write `text` as UTF-8, whatever the locale, to the file `out` or to stdout
-    if `out` is None; OSError when it cannot be written."""
-    if out is not None:
-        with open(out, "wb") as fh:
-            fh.write(text.encode("utf-8"))
-    elif sys.stdout is None:  # the process started with fd 1 closed
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    elif not hasattr(sys.stdout, "buffer"):  # a text-only stream such as io.StringIO
-        sys.stdout.write(text)
-    else:
-        try:
-            sys.stdout.flush()
-            sys.stdout.buffer.write(text.encode("utf-8"))
-            sys.stdout.flush()
-        except OSError:
-            _discard(sys.stdout)
-            raise
+    if `out` is None; EXIT_OK, or EXIT_IOERR with one line on stderr when it
+    cannot be written."""
+    try:
+        if out is not None:
+            with open(out, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+        elif sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        elif not hasattr(sys.stdout, "buffer"):  # a text-only stream such as io.StringIO
+            sys.stdout.write(text)
+        else:
+            try:
+                sys.stdout.flush()
+                sys.stdout.buffer.write(text.encode("utf-8"))
+                sys.stdout.flush()
+            except OSError:
+                _discard(sys.stdout)
+                raise
+    except OSError as exc:  # --out is never empty: that is a usage error
+        return _fail(EXIT_IOERR, f"error: cannot write {out or 'standard output'}: "
+                                 f"{exc.strerror or exc}")
+    return EXIT_OK
 
 
 # -- JSON --------------------------------------------------------------------
@@ -318,12 +329,8 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         return _fail(EXIT_INVARIANT, f"internal invariant breach: {exc}")
 
-    try:
-        _emit(_json_text(report) if args.json else _render_text(report, args.command), args.out)
-    except OSError as exc:  # --out is never empty: that is a usage error
-        return _fail(EXIT_IOERR, f"error: cannot write {args.out or 'standard output'}: "
-                                 f"{exc.strerror or exc}")
-    return EXIT_OK if report["all_ok"] else EXIT_FAIL
+    text = _json_text(report) if args.json else _render_text(report, args.command)
+    return _emit(text, args.out) or (EXIT_OK if report["all_ok"] else EXIT_FAIL)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,8 @@ QUANTUM_VALUE = 9
 class ExperimentTerm(Frozen):
     """One signed correlation term with its local factor structure, and,
     uncompared, `observable`, the product of all factors without the sign,
-    and `ids`, their labels, Alice's first: the local observable ids."""
+    and `ids`, their labels, Alice's first: the local observable ids.  Each
+    factor is one ±1 hidden variable, so it is phase-free and not I."""
 
     _fields = ("sign", "alice_factors", "bob_factors")
 
@@ -75,16 +76,17 @@ def _tuple_of(kind, items, name) -> tuple:
 
 def _checked_observable(alice_factors: tuple, bob_factors: tuple) -> tuple:
     """(product, labels) of a term's factors, after checking that there is
-    at least one and that each is on 4 qubits, Hermitian, supported on its
-    observer's qubits and commutes with the others."""
+    at least one and that each is on 4 qubits, phase-free, not the
+    identity, supported on its observer's qubits and commutes with the
+    others."""
     fs = alice_factors + bob_factors
     if not fs or any(f.n_qubits != 4 for f in fs):
         raise ValueError(f"a term needs one or more factors on 4 qubits, got {fs}")
     for f in alice_factors:
-        if not (f.is_hermitian and f.supported_on(ALICE_QUBITS)):
+        if f.phase_power or not f.x_mask | f.z_mask or not f.supported_on(ALICE_QUBITS):
             raise ValueError(f"bad Alice factor {f}")
     for f in bob_factors:
-        if not (f.is_hermitian and f.supported_on(BOB_QUBITS)):
+        if f.phase_power or not f.x_mask | f.z_mask or not f.supported_on(BOB_QUBITS):
             raise ValueError(f"bad Bob factor {f}")
     for i, a in enumerate(fs):
         for b in fs[i + 1:]:

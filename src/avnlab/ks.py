@@ -54,6 +54,8 @@ class KsTable(Frozen):
                 raise ValueError(f"{kind} {index + 1} has a cell that is not a PauliString")
             if type(target) is not int or target not in (+1, -1):
                 raise ValueError(f"{kind} {index + 1} target {target!r} is not ±1")
+        if not grid:  # then no column either: the loop refuses an empty one
+            raise ValueError("a table needs one or more lines")
         self.__dict__.update(grid=grid, row_targets=row_targets, column_targets=column_targets)
 
     @classmethod

@@ -1,11 +1,12 @@
 """Local-hidden-variable side: value-assignment constraints and the local bound.
 
-The 12 local observables (6 per observer) are treated as independent ±1
-quantities.  The nine product constraints they inherit from the quantum
-identities are jointly unsatisfiable, by a parity argument and by
-exhaustive enumeration of all 4096 deterministic assignments; the same
-enumeration yields the local bound 7 on the Bell functional, against the
-quantum value 9.
+The hidden variables of a functional are its terms' n distinct local
+factors, each an independent ±1 quantity, with 2^n deterministic
+assignments.  For the canonical terms these are the 12 local observables
+(6 per observer); the nine product constraints they inherit from the
+quantum identities are jointly unsatisfiable, by a parity argument and by
+exhaustive enumeration, and the same enumeration yields the local bound 7
+on the Bell functional, against the quantum value 9.
 """
 
 from __future__ import annotations
@@ -16,14 +17,27 @@ from . import kernels
 from ._frozen import Frozen
 from .functional import EXPECTED_SIGNS, LOCAL_BOUND, QUANTUM_VALUE, BellFunctional
 
-ALICE_IDS = ("z1", "z2", "x1", "x2", "z1z2", "x1x2")
-BOB_IDS = ("z3", "z4", "x3", "x4", "z3x4", "x3z4")
 
-#: Canonical enumeration order: Alice before Bob, singles before products.
-ID_ORDER = ALICE_IDS + BOB_IDS
-_ID_INDEX = {name: i for i, name in enumerate(ID_ORDER)}
+def _hidden_variables(functional: BellFunctional) -> tuple:
+    """(ids, masks): the functional's distinct factor labels, Alice's first
+    and then Bob's, each in order of first appearance over the terms; and
+    one mask per term, the XOR of its ids' bits in that order."""
+    terms = functional.terms
+    index = {}
+    for factors in [t.alice_factors for t in terms] + [t.bob_factors for t in terms]:
+        for f in factors:
+            index.setdefault(f.label, len(index))
+    masks = []
+    for t in terms:
+        mask = 0
+        for name in t.ids:
+            mask ^= 1 << index[name]
+        masks.append(mask)
+    return tuple(index), tuple(masks)
 
-N_IDS = len(ID_ORDER)
+
+#: The canonical functional's ids: Alice before Bob, singles before products.
+ID_ORDER = _hidden_variables(BellFunctional.canonical())[0]
 
 
 class ParitySystem(Frozen):
@@ -68,45 +82,21 @@ class ParitySystem(Frozen):
         }
 
 
-def _checked_ids(ids: tuple) -> tuple:
-    unknown = {name for name in ids if name not in _ID_INDEX}
-    if unknown:
-        raise ValueError(f"term references non-local observables {sorted(unknown)}")
-    return ids
-
-
-def term_ids(term) -> tuple:
-    """Local observable ids referenced by one term's factors."""
-    return _checked_ids(term.ids)
-
-
-def _term_masks(functional: BellFunctional) -> tuple:
-    """One mask per term: the XOR of its ids' bits in the canonical order."""
-    masks = []
-    for t in functional.terms:
-        mask = 0
-        for name in t.ids:
-            if name not in _ID_INDEX:
-                _checked_ids(t.ids)
-            mask ^= 1 << _ID_INDEX[name]
-        masks.append(mask)
-    return tuple(masks)
-
-
 def constraints_for(functional: BellFunctional) -> ParitySystem:
     """One parity constraint per term, with the term's sign as target."""
+    ids, masks = _hidden_variables(functional)
     parities = tuple(0 if t.sign == +1 else 1 for t in functional.terms)
-    return ParitySystem(_term_masks(functional), parities, N_IDS)
+    return ParitySystem(masks, parities, len(ids))
 
 
-def assignment_from_int(x: int) -> dict:
-    """Decode an assignment integer (bit i set means ID_ORDER[i] = -1)."""
-    return {name: -1 if x >> i & 1 else +1 for i, name in enumerate(ID_ORDER)}
+def assignment_from_int(x: int, ids: tuple) -> dict:
+    """Decode an assignment integer (bit i set means ids[i] = -1)."""
+    return {name: -1 if x >> i & 1 else +1 for i, name in enumerate(ids)}
 
 
 def prove_no_valid_assignment(system: ParitySystem) -> dict:
     """Impossibility certificate: parity argument plus exhaustive search
-    over all 2^12 assignments (see `ParitySystem.prove`)."""
+    over all 2^n assignments of the system's n ids (see `ParitySystem.prove`)."""
     proof = system.prove()
     hist = proof.pop("histogram")
     proof["all_ids_even_multiplicity"] = all(
@@ -117,15 +107,17 @@ def prove_no_valid_assignment(system: ParitySystem) -> dict:
 
 
 def local_bound(functional: BellFunctional):
-    """Max of the functional over all 4096 deterministic ±1 assignments.
+    """Max of the functional over all 2^n deterministic ±1 assignments of
+    its n ids.
 
     Returns (bound, witness_assignment); the witness is the assignment
-    with the smallest integer encoding in the canonical id order that
+    with the smallest integer encoding in the functional's id order that
     attains the bound.
     """
+    ids, masks = _hidden_variables(functional)
     signs = [t.sign for t in functional.terms]
-    bound, witness = kernels.max_weighted_parity(_term_masks(functional), signs, N_IDS)
-    return bound, assignment_from_int(witness)
+    bound, witness = kernels.max_weighted_parity(masks, signs, len(ids))
+    return bound, assignment_from_int(witness, ids)
 
 
 def visibility_threshold(functional: BellFunctional) -> tuple:
@@ -148,7 +140,7 @@ def certificate() -> dict:
     return {
         "id_order": list(ID_ORDER),
         "constraints": [
-            {"ids": list(term_ids(t)), "required_product": t.sign}
+            {"ids": list(t.ids), "required_product": t.sign}
             for t in functional.terms
         ],
         "expected_signs": list(EXPECTED_SIGNS),

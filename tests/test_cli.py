@@ -308,7 +308,8 @@ class TestVerdictExits:
     @pytest.mark.parametrize("command", ["lhv", "all"])
     def test_a_failing_block_exits_1(self, command, capsys, monkeypatch):
         # A local bound of 8 fails the lhv block, and with it `all`.
-        monkeypatch.setattr(lhv, "local_bound", lambda f: (8, lhv.assignment_from_int(0)))
+        witness = lhv.assignment_from_int(0, lhv.ID_ORDER)
+        monkeypatch.setattr(lhv, "local_bound", lambda f: (8, witness))
         code = cli.main([command, "--shots", "1000"])
         captured = capsys.readouterr()
         assert code == cli.EXIT_FAIL == 1
@@ -381,6 +382,20 @@ class TestFailureExits:
     def test_closed_stdout_exits_74(self):
         proc = _child(["-m", "avnlab.cli", "verify"], ">&-")
         self._assert_exit(proc, 74, "error: cannot write standard output: Bad file descriptor\n")
+
+    @pytest.mark.parametrize(
+        "redirect, reason",
+        [pytest.param(">/dev/full", "No space left on device", marks=_HAS_DEV_FULL),
+         (">&-", "Bad file descriptor")],
+    )
+    def test_unwritable_help_exits_74(self, redirect, reason):
+        proc = _child(["-m", "avnlab.cli", "--help"], redirect)
+        self._assert_exit(proc, 74, f"error: cannot write standard output: {reason}\n")
+
+    def test_help_goes_to_stdout_and_exits_0(self):
+        proc = _child(["-m", "avnlab.cli", "-h"], stdout=subprocess.PIPE)
+        self._assert_exit(proc, 0, "")
+        assert proc.stdout == cli.build_parser().format_help().encode()
 
     @pytest.mark.parametrize(
         "redirect", [pytest.param("2>/dev/full", marks=_HAS_DEV_FULL), "2>&-"]

@@ -91,6 +91,10 @@ class TestTermStructure:
             (("z1", "x1"), (), "do not commute"),
             (("z3",), (), "bad Alice factor"),
             (("z1",), ("x1",), "bad Bob factor"),
+            # Each factor is one free ±1 value: a sign or the identity is not.
+            (("-z1",), ("z3",), "bad Alice factor"),
+            (("I",), ("z3",), "bad Alice factor"),
+            (("z1",), ("I",), "bad Bob factor"),
             ((parse("z1", 2),), (parse("z1", 2),), "factors on 4 qubits"),
             ((parse("z1", 8),), (), "factors on 4 qubits"),
             ((), (), "one or more factors"),

@@ -79,6 +79,12 @@ class TestMalformedTable:
         with pytest.raises(ValueError, match="^column 4 has no operators$"):
             ks.KsTable(grid, table.row_targets, table.column_targets)
 
+    def test_no_lines(self):
+        # No line leaves a one-bin histogram, with no nine-of-ten bin to read.
+        for grid in ((), [], iter(())):
+            with pytest.raises(ValueError, match="^a table needs one or more lines$"):
+                ks.KsTable(grid, (), ())
+
     @pytest.mark.parametrize("target", [0, 2, -2, None, True, False, 1.0, -1.0])
     def test_target_outside_plus_minus_one(self, table, target):
         with pytest.raises(ValueError, match=f"^column 5 target {target!r} is not ±1$"):

@@ -33,14 +33,14 @@ def make_functional(specs):
 
 def brute_force_bound(functional):
     """Independent enumerator over all ±1 assignments (no kernels)."""
-    ids = sorted({name for t in functional.terms for name in lhv.term_ids(t)})
+    ids = lhv_oracle.functional_ids(functional)
     best = None
     for values in itertools.product((+1, -1), repeat=len(ids)):
         point = dict(zip(ids, values))
         total = 0
         for term in functional.terms:
             product = term.sign
-            for name in lhv.term_ids(term):
+            for name in lhv_oracle.factor_labels(term):
                 product *= point[name]
             total += product
         best = total if best is None else max(best, total)
@@ -60,7 +60,7 @@ class TestConstraintSystem:
     def test_every_id_appears_exactly_twice(self):
         occurrences = {name: 0 for name in lhv.ID_ORDER}
         for term in nine_terms():
-            for name in lhv.term_ids(term):
+            for name in lhv_oracle.factor_labels(term):
                 occurrences[name] += 1
         assert occurrences == {name: 2 for name in lhv.ID_ORDER}
         assert canonical_system().prove()["occurrences"] == [2] * 12
@@ -71,17 +71,32 @@ class TestConstraintSystem:
             ids = {lhv.ID_ORDER[i] for i in range(12) if mask >> i & 1}
             assert ids == {f.label for f in term.factors}
 
-    def test_rejects_unknown_id(self):
-        with pytest.raises(ValueError, match="non-local"):
-            lhv.constraints_for(make_functional([(+1, ["y1"], ["z3"])]))
+    def test_ids_are_derived_from_the_terms(self):
+        # Alice's ids first, then Bob's, each in order of first appearance.
+        functional = make_functional(
+            [(+1, ["y1"], ["z3"]), (-1, ["x2", "y1"], ["x3"]), (+1, ["x2"], ["z3"])]
+        )
+        bound, witness = lhv.local_bound(functional)
+        assert list(witness) == ["y1", "x2", "z3", "x3"]
+        assert lhv.constraints_for(functional).masks == (0b0101, 0b1011, 0b0110)
+        assert bound == brute_force_bound(functional) == 3
 
-    def test_unknown_id_raises_on_every_call(self):
-        functional = make_functional([(+1, ["y1"], ["z3"])])
+    def test_more_ids_than_the_kernels_take_raise_on_every_call(self):
+        # Nine different factors per observer: 18 ids, one past the cap.
+        alice = ["z1", "z2", "x1", "x2", "y1", "y2", "z1z2", "x1x2", "y1y2"]
+        bob = ["z3", "z4", "x3", "x4", "y3", "y4", "z3x4", "x3z4", "y3y4"]
+        functional = make_functional([(+1, [a], [b]) for a, b in zip(alice, bob)])
         for _ in range(3):
-            with pytest.raises(ValueError, match="non-local"):
-                lhv.constraints_for(functional)
-            with pytest.raises(ValueError, match="non-local"):
+            with pytest.raises(ValueError, match=r"^n_vars must be in \[0, 17\], got 18$"):
+                lhv.prove_no_valid_assignment(lhv.constraints_for(functional))
+            with pytest.raises(ValueError, match=r"^n_vars must be in \[0, 17\], got 18$"):
                 lhv.local_bound(functional)
+
+    def test_repeated_factor_cancels_in_its_mask(self):
+        # z1·z1 is the identity: term 1 selects z3 alone, so the bound is 2.
+        functional = make_functional([(+1, ["z1", "z1"], ["z3"]), (-1, ["z1"], ["z3"])])
+        assert lhv.constraints_for(functional).masks == (0b10, 0b11)
+        assert lhv.local_bound(functional)[0] == brute_force_bound(functional) == 2
 
     def test_sign_adapted_functionals_have_equal_masks(self):
         functional = BellFunctional.canonical()
@@ -98,27 +113,28 @@ class TestSweepBounds:
         signs = verify_nine_identities(ks.two_pair_state(pair13, pair24))
         adapted = BellFunctional.canonical().with_signs(signs)
         masks = lhv.constraints_for(adapted).masks
-        bound, witness = oracle.max_weighted_parity(masks, signs, lhv.N_IDS)
-        assert lhv.local_bound(adapted) == (bound, lhv.assignment_from_int(witness))
+        bound, witness = oracle.max_weighted_parity(masks, signs, len(lhv.ID_ORDER))
+        assert lhv.local_bound(adapted) == (bound, lhv.assignment_from_int(witness, lhv.ID_ORDER))
         assert bound == brute_force_bound(adapted) == 7
 
 
 class TestCheckAssignment:
     def test_all_plus_one_satisfies_four(self):
         values = {name: +1 for name in lhv.ID_ORDER}
-        assert lhv_oracle.check_assignment(values, canonical_system()) == 4
+        assert lhv_oracle.check_assignment(values, BellFunctional.canonical()) == 4
 
     def test_no_assignment_satisfies_all_nine(self):
-        system = canonical_system()
+        functional = BellFunctional.canonical()
+        ids = lhv_oracle.functional_ids(functional)
         best = max(
-            lhv_oracle.check_assignment(lhv.assignment_from_int(x), system)
-            for x in range(4096)
+            lhv_oracle.check_assignment(dict(zip(ids, values)), functional)
+            for values in itertools.product((+1, -1), repeat=len(ids))
         )
         assert best == 8
 
     def test_partial_assignment_rejected(self):
         with pytest.raises(ValueError):
-            lhv_oracle.check_assignment({"z1": 1}, canonical_system())
+            lhv_oracle.check_assignment({"z1": 1}, BellFunctional.canonical())
 
 
 class TestImpossibilityProof:
@@ -139,7 +155,10 @@ class TestImpossibilityProof:
         assert not proof["parity_says_impossible"]
         assert proof["exhaustive_count_satisfying_all"] > 0
         # all-plus-one fails (the four -1 constraints), but some vertex works
-        assert lhv_oracle.check_assignment({n: 1 for n in lhv.ID_ORDER}, mutated) == 5
+        functional = BellFunctional.canonical()
+        flipped = functional.with_signs([t.sign for t in functional.terms][:8] + [+1])
+        assert lhv.constraints_for(flipped) == mutated
+        assert lhv_oracle.check_assignment({n: 1 for n in lhv.ID_ORDER}, flipped) == 5
 
     @pytest.mark.parametrize("flip", range(9))
     def test_parity_and_exhaustion_agree_on_mutations(self, flip):
@@ -154,7 +173,8 @@ class TestImpossibilityProof:
     def test_single_constraint_leaves_half(self):
         system = lhv.constraints_for(make_functional([(-1, ["z1"], ["z3"])]))
         proof = lhv.prove_no_valid_assignment(system)
-        assert proof["exhaustive_count_satisfying_all"] == 2048
+        assert proof["exhaustive_count_satisfying_all"] == 2
+        assert proof["assignments_checked"] == 4
 
     def test_disagreeing_count_is_an_internal_error(self, monkeypatch):
         # A histogram that claims a satisfying assignment contradicts the
@@ -182,7 +202,7 @@ class TestLocalBound:
         functional = BellFunctional.canonical()
         bound, witness = lhv.local_bound(functional)
         for x in range(4096):
-            values = lhv.assignment_from_int(x)
+            values = lhv.assignment_from_int(x, lhv.ID_ORDER)
             if lhv_oracle.functional_at_point(functional, values) == bound:
                 assert values == witness
                 break
@@ -210,7 +230,9 @@ class TestLocalBound:
     def test_vertex_values_are_odd_integers_in_range(self):
         functional = BellFunctional.canonical()
         for x in range(4096):
-            value = lhv_oracle.functional_at_point(functional, lhv.assignment_from_int(x))
+            value = lhv_oracle.functional_at_point(
+                functional, lhv.assignment_from_int(x, lhv.ID_ORDER)
+            )
             assert value == int(value)
             assert int(value) % 2 == 1
             assert -9 <= value <= 9
@@ -267,6 +289,11 @@ class TestVisibilityThreshold:
         threshold = lhv.visibility_threshold(BellFunctional.canonical())
         assert threshold == (7, 9)
         assert threshold[0] / threshold[1] == pytest.approx(7 / 9, abs=1e-15)
+
+    def test_threshold_is_in_lowest_terms(self):
+        # All-plus signs: bound 9 at the all-plus vertex, so L/Q = 9/9 = 1/1.
+        all_plus = BellFunctional.canonical().with_signs((+1,) * 9)
+        assert lhv.visibility_threshold(all_plus) == (1, 1)
 
     def test_every_term_observable_is_traceless(self):
         for t in nine_terms():
