@@ -9,6 +9,7 @@ flattening a term multiplies everything into a single Pauli string.
 from __future__ import annotations
 
 from functools import reduce
+from operator import xor
 
 from . import states
 from ._frozen import Frozen
@@ -124,27 +125,38 @@ def nine_terms() -> tuple:
 
 
 class BellFunctional(Frozen):
-    """Signed sum of correlation terms; quantum value 9, local bound 7."""
+    """Signed sum of correlation terms; quantum value 9, local bound 7; and,
+    uncompared, its hidden variables, derived once here: `ids`, the distinct
+    factor labels, Alice's first and then Bob's, each in order of first
+    appearance, and `masks`, one XOR mask per term, bit i standing for ids[i]."""
 
     _fields = ("terms",)
 
     def __init__(self, terms: tuple):
-        self.__dict__.update(terms=_tuple_of(ExperimentTerm, terms, "terms"))
+        terms = _tuple_of(ExperimentTerm, terms, "terms")
+        index = {}
+        for factors in [t.alice_factors for t in terms] + [t.bob_factors for t in terms]:
+            for f in factors:
+                index.setdefault(f.label, len(index))
+        masks = tuple(reduce(xor, (1 << index[name] for name in t.ids)) for t in terms)
+        self.__dict__.update(terms=terms, ids=tuple(index), masks=masks)
 
     @classmethod
     def canonical(cls) -> "BellFunctional":
-        return cls(nine_terms())
+        """The nine terms' functional; built once at import."""
+        return CANONICAL
 
     def with_signs(self, signs) -> "BellFunctional":
         """Same observables with replaced term signs (eigenfamily
-        adaptation), one ±1 sign per term.  The factors were checked when
-        the terms were built, so they are not checked again."""
+        adaptation), one ±1 sign per term; the copy reuses the checked
+        factors and the hidden variables, which do not depend on signs."""
         signs = tuple(signs)
         if len(signs) != len(self.terms):
             raise ValueError(f"{len(signs)} signs for {len(self.terms)} terms")
-        return BellFunctional(
-            tuple(t._resigned(s) for s, t in zip(signs, self.terms))
-        )
+        adapted = object.__new__(BellFunctional)
+        terms = tuple(t._resigned(s) for s, t in zip(signs, self.terms))
+        adapted.__dict__.update(self.__dict__, terms=terms)
+        return adapted
 
     def value(self, state: states.StateVector, rows=None) -> float:
         """Sum of sign-weighted expectations of the flattened observables;
@@ -152,7 +164,16 @@ class BellFunctional(Frozen):
         `states.images`."""
         terms = self.terms
         values = states.expectations([t.observable for t in terms], state, rows)
-        return sum(t.sign * v for t, v in zip(terms, values))
+        # Left to right, not the builtin sum, which compensates its
+        # rounding from Python 3.12 on.
+        total = 0
+        for t, v in zip(terms, values):
+            total += t.sign * v
+        return total
+
+
+#: The nine terms' functional.
+CANONICAL = BellFunctional(NINE_TERMS)
 
 
 def verify_nine_identities(state: states.StateVector, rows=None):

@@ -90,10 +90,11 @@ class KsTable(Frozen):
             product = ops[0]
             for op in ops[1:]:
                 product = product * op
+            # Phase i^0 for +I and i^2 for -I; an imaginary phase is neither.
             is_target_identity = (
                 product.x_mask == 0
                 and product.z_mask == 0
-                and product.sign == target
+                and product.phase_power == (0 if target == +1 else 2)
             )
             checks.append((
                 f"{kind} {index + 1}",

@@ -2,7 +2,9 @@
 
 The hidden variables of a functional are its terms' n distinct local
 factors, each an independent ±1 quantity, with 2^n deterministic
-assignments.  For the canonical terms these are the 12 local observables
+assignments; `BellFunctional` derives them once, when it is built, as
+its `ids` and one mask per term, and this module reads them there.  For
+the canonical terms these are the 12 local observables
 (6 per observer); the nine product constraints they inherit from the
 quantum identities are jointly unsatisfiable, by a parity argument and by
 exhaustive enumeration, and the same enumeration yields the local bound 7
@@ -18,26 +20,8 @@ from ._frozen import Frozen
 from .functional import EXPECTED_SIGNS, LOCAL_BOUND, QUANTUM_VALUE, BellFunctional
 
 
-def _hidden_variables(functional: BellFunctional) -> tuple:
-    """(ids, masks): the functional's distinct factor labels, Alice's first
-    and then Bob's, each in order of first appearance over the terms; and
-    one mask per term, the XOR of its ids' bits in that order."""
-    terms = functional.terms
-    index = {}
-    for factors in [t.alice_factors for t in terms] + [t.bob_factors for t in terms]:
-        for f in factors:
-            index.setdefault(f.label, len(index))
-    masks = []
-    for t in terms:
-        mask = 0
-        for name in t.ids:
-            mask ^= 1 << index[name]
-        masks.append(mask)
-    return tuple(index), tuple(masks)
-
-
 #: The canonical functional's ids: Alice before Bob, singles before products.
-ID_ORDER = _hidden_variables(BellFunctional.canonical())[0]
+ID_ORDER = BellFunctional.canonical().ids
 
 
 class ParitySystem(Frozen):
@@ -84,9 +68,8 @@ class ParitySystem(Frozen):
 
 def constraints_for(functional: BellFunctional) -> ParitySystem:
     """One parity constraint per term, with the term's sign as target."""
-    ids, masks = _hidden_variables(functional)
     parities = tuple(0 if t.sign == +1 else 1 for t in functional.terms)
-    return ParitySystem(masks, parities, len(ids))
+    return ParitySystem(functional.masks, parities, len(functional.ids))
 
 
 def assignment_from_int(x: int, ids: tuple) -> dict:
@@ -108,15 +91,15 @@ def prove_no_valid_assignment(system: ParitySystem) -> dict:
 
 def local_bound(functional: BellFunctional):
     """Max of the functional over all 2^n deterministic ±1 assignments of
-    its n ids.
+    its n ids: one kernel call over its `masks` and term signs.
 
     Returns (bound, witness_assignment); the witness is the assignment
     with the smallest integer encoding in the functional's id order that
     attains the bound.
     """
-    ids, masks = _hidden_variables(functional)
+    ids = functional.ids
     signs = [t.sign for t in functional.terms]
-    bound, witness = kernels.max_weighted_parity(masks, signs, len(ids))
+    bound, witness = kernels.max_weighted_parity(functional.masks, signs, len(ids))
     return bound, assignment_from_int(witness, ids)
 
 

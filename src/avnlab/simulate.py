@@ -315,9 +315,13 @@ def estimate_F(
     records = [
         run_experiment(k, shots_per_term, noise, seed) for k in range(1, 10)
     ]
-    signs = [t.sign for t in nine_terms()]
-    f_estimate = float(sum(s * r.estimate for s, r in zip(signs, records)))
-    f_se = math.sqrt(sum(r.standard_error**2 for r in records))
+    # Left to right, not the builtin sum, which compensates its rounding
+    # from Python 3.12 on.
+    f_estimate = f_variance = 0
+    for t, r in zip(nine_terms(), records):
+        f_estimate += t.sign * r.estimate
+        f_variance += r.standard_error**2
+    f_se = math.sqrt(f_variance)
     return {
         "config": {
             "shots_per_term": shots_per_term,

@@ -64,19 +64,16 @@ def _check_norm(amps):
 
 # -- named states ----------------------------------------------------------
 
-def build_psi() -> StateVector:
-    """The paper's four-qubit state psi.
+#: The paper's four-qubit state psi: amplitudes +1/2 on |0011> and
+#: |1100>, -1/2 on |0110> and |1001>, that is (|01> - |10>)/sqrt(2) on
+#: qubits (1,3) times the same pair state on qubits (2,4).
+PSI = StateVector(4, [{0b0011: 0.5, 0b0110: -0.5, 0b1001: -0.5, 0b1100: 0.5}.get(b, 0j)
+                      for b in range(16)])
 
-    Amplitudes +1/2 on |0011> and |1100>, -1/2 on |0110> and |1001>:
-    (|01> - |10>)/sqrt(2) on qubits (1,3) times the same pair state on
-    qubits (2,4).
-    """
-    amps = [0j] * 16
-    amps[0b0011] = 0.5
-    amps[0b0110] = -0.5
-    amps[0b1001] = -0.5
-    amps[0b1100] = 0.5
-    return StateVector(4, amps)
+
+def build_psi() -> StateVector:
+    """The paper's state `PSI`, built once at import."""
+    return PSI
 
 
 def bell_phi(sign: int) -> StateVector:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avnlab.functional import (
+    CANONICAL,
     EXPECTED_SIGNS,
     BellFunctional,
     ExperimentTerm,
@@ -186,6 +187,19 @@ class TestBellFunctional:
         assert functional == BellFunctional.canonical()
         assert hash(functional) == hash(BellFunctional.canonical())
         assert hash(BellFunctional([])) == hash(BellFunctional(()))
+        assert BellFunctional([]).ids == BellFunctional([]).masks == ()
+
+    def test_canonical_is_built_once_at_import(self):
+        assert BellFunctional.canonical() is BellFunctional.canonical() is CANONICAL
+        assert CANONICAL.terms is nine_terms()
+
+    def test_hidden_variables_are_not_compared_or_shown(self):
+        canonical = BellFunctional.canonical()
+        assert repr(canonical) == f"BellFunctional(terms={canonical.terms!r})"
+        with pytest.raises(AttributeError):
+            canonical.ids = ()
+        with pytest.raises(AttributeError):
+            canonical.masks = ()
 
 
 class TestWithSigns:
@@ -218,6 +232,11 @@ class TestWithSigns:
         )
         assert adapted.terms == fresh
         assert [hash(t) for t in adapted.terms] == [hash(t) for t in fresh]
+        # The copy shares the base functional's hidden variables, which a
+        # freshly built functional derives to the same values.
+        assert adapted.ids is canonical.ids and adapted.masks is canonical.masks
+        rebuilt = BellFunctional(fresh)
+        assert (rebuilt.ids, rebuilt.masks) == (canonical.ids, canonical.masks)
         for term, new, base in zip(adapted.terms, fresh, canonical.terms):
             assert term.sign == new.sign
             # The adapted term shares the base term's checked observable.

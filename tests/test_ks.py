@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dense_oracle
 from avnlab import ks, lhv
 from avnlab.functional import EXPECTED_SIGNS
 from avnlab.pauli import PauliString, parse
@@ -140,6 +141,15 @@ class TestMalformedTable:
     def test_cells_must_be_pauli_strings_or_none(self, grid):
         with pytest.raises(ValueError, match="^row 1 has a cell that is not a PauliString$"):
             ks.KsTable(grid, (+1,) * len(grid), (+1,) * len(grid[0]))
+
+    def test_imaginary_line_product_is_not_ok(self):
+        # x1·y1·z1 = i·I, which is neither +I nor -I, and must not raise.
+        cells = tuple(parse(label, 4) for label in ("x1", "y1", "z1"))
+        table = ks.KsTable((cells,), (+1,), (+1,) * 3)
+        row = ks.verify_table_structure(table)["lines"][0]
+        assert [row[k] for k in ("line", "product", "target", "ok")] == ["row 1", "i·I", "+I", False]
+        with pytest.raises(ValueError, match="^table structure check failed$"):
+            ks.prove_ks_contradiction(table)
 
 
 class TestContradiction:
@@ -292,6 +302,7 @@ class TestTwoPairStates:
         _, z24, x24 = ks._PAIR_STATES[pair24]
         seeds = [parse(label, 4) for label in ("z1z3", "x1x3", "z2z4", "x2x4")]
         assert eigensigns(seeds, state) == [z13, x13, z24, x24]
+        assert dense_oracle.eigensigns(seeds, state.amplitudes) == [z13, x13, z24, x24]
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +342,20 @@ class TestEigenfamilySweep:
         ks.eigenfamily_sweep()
         assert len(gathered) == len(set(map(id, gathered))) == 16
         assert list(map(id, verified)) == list(map(id, gathered))
+
+    def test_seed_eigenvalues_are_read_off_the_states(self, sweep):
+        # The reported values come from the hand table ks._PAIR_STATES.
+        labels = ("z1z3", "z2z4", "x1x3", "x2x4")
+        seeds = [parse(label, 4) for label in labels]
+        vectors = set()
+        for r in sweep:
+            state = ks.two_pair_state(r["pair13"], r["pair24"])
+            reported = [r["seed_eigenvalues"][label] for label in labels]
+            assert eigensigns(seeds, state) == reported
+            vectors.add(tuple(reported))
+        # Four commuting independent ±1 observables on four qubits have 16
+        # one-dimensional joint eigenspaces: the sweep visits each once.
+        assert len(vectors) == 16
 
     def test_adapted_functionals_keep_nine_versus_seven(self, sweep):
         for r in sweep:

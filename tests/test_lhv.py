@@ -57,6 +57,12 @@ class TestConstraintSystem:
         assert system.parities == (1, 1, 1, 1, 0, 0, 0, 0, 1)
         assert system.n_vars == 12
 
+    def test_id_order_is_the_canonical_functionals(self):
+        assert lhv.ID_ORDER is BellFunctional.canonical().ids
+        assert lhv.ID_ORDER == (
+            "z1", "z2", "x1", "x2", "z1z2", "x1x2", "z3", "z4", "x3", "x4", "z3x4", "x3z4",
+        )
+
     def test_every_id_appears_exactly_twice(self):
         occurrences = {name: 0 for name in lhv.ID_ORDER}
         for term in nine_terms():
@@ -77,8 +83,10 @@ class TestConstraintSystem:
             [(+1, ["y1"], ["z3"]), (-1, ["x2", "y1"], ["x3"]), (+1, ["x2"], ["z3"])]
         )
         bound, witness = lhv.local_bound(functional)
-        assert list(witness) == ["y1", "x2", "z3", "x3"]
-        assert lhv.constraints_for(functional).masks == (0b0101, 0b1011, 0b0110)
+        assert functional.ids == ("y1", "x2", "z3", "x3")
+        assert functional.masks == (0b0101, 0b1011, 0b0110)
+        assert list(witness) == list(functional.ids)
+        assert lhv.constraints_for(functional).masks == functional.masks
         assert bound == brute_force_bound(functional) == 3
 
     def test_more_ids_than_the_kernels_take_raise_on_every_call(self):

@@ -137,6 +137,19 @@ def _cached_functions() -> list:
     return found
 
 
+def test_sources_parse_at_the_declared_python_floor():
+    # Only the grammar is checked: the tests may run on a newer Python.
+    declared = re.search(r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    floor = (3, int(declared.group(1)))
+    assert floor == (3, 10)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor)
+    sources = sorted((ROOT / "src" / "avnlab").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
+
+
 def test_import_builds_no_cached_work():
     # Every CLI process pays for what import builds, so cached work must be
     # built on first use, not at import.  The module caches are keyed by

@@ -11,10 +11,14 @@ file with
     PYTHONPATH=src python tests/test_report_digest.py > tests/report_digests.json
 """
 
+import builtins
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import math
+import operator
 import sys
 from pathlib import Path
 
@@ -55,6 +59,64 @@ def test_the_set_is_pinned_in_full():
 
 @pytest.mark.parametrize("argv", ARGVS, ids=[",".join(argv) for argv in ARGVS])
 def test_report_bytes_are_unchanged(argv):
+    pinned = json.loads(DIGESTS.read_text())
+    assert report_digest(argv) == pinned[" ".join(argv)]
+
+
+def compensated_sum(iterable, start=0):
+    """The builtin sum by the rule of Python 3.12 and later: exact over
+    leading ints, then Neumaier's compensated sum over floats (ints added
+    as floats), the compensation added at the end when it is non-zero and
+    finite; any other item ends the fast paths, and the rest is added
+    with `+`."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            result = result + item
+            if type(item) not in (int, bool):
+                break
+    if type(result) is float:
+        total, compensation = result, 0.0
+        for item in items:
+            if type(item) in (int, bool):
+                total += float(item)
+                continue
+            if type(item) is not float:
+                if compensation and math.isfinite(compensation):
+                    total += compensation
+                result = total + item
+                break
+            t = total + item
+            if abs(total) >= abs(item):
+                compensation += (total - t) + item
+            else:
+                compensation += (item - t) + total
+            total = t
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for item in items:
+        result = result + item
+    return result
+
+
+def test_compensated_sum_follows_the_newer_rule():
+    tenths = [0.1] * 10
+    assert functools.reduce(operator.add, tenths, 0) == 0.9999999999999999
+    assert compensated_sum(tenths) == 1.0
+    assert compensated_sum([1, 2, 0.5, 1e100, 1.0, -1e100]) == 4.5
+    assert compensated_sum([1, 2]) == 3 and type(compensated_sum([1, True])) is int
+    assert compensated_sum([1, 0.5, 1j]) == 1.5 + 1j
+    assert compensated_sum([[1], [2]], []) == [1, 2]
+    assert compensated_sum([]) == 0
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=[",".join(argv) for argv in ARGVS])
+def test_report_bytes_do_not_depend_on_the_builtin_sum(argv, monkeypatch):
+    # requires-python admits versions whose builtin sum rounds differently.
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
     pinned = json.loads(DIGESTS.read_text())
     assert report_digest(argv) == pinned[" ".join(argv)]
 

@@ -5,10 +5,12 @@ import pytest
 
 from avnlab.pauli import PauliString, parse
 from avnlab.states import (
+    PSI,
     StateVector,
     bell_phi,
     bell_psi,
     born_probabilities,
+    build_psi,
     eigensigns,
     expectations,
     images,
@@ -41,6 +43,9 @@ def unchecked_state(n_qubits, amps):
 
 
 class TestBuildPsi:
+    def test_built_once_at_import(self, psi):
+        assert build_psi() is build_psi() is psi is PSI
+
     def test_amplitude_table(self, psi):
         expected = np.zeros(16, dtype=complex)
         expected[0b0011] = 0.5
